@@ -157,7 +157,7 @@ def _cmd_lens(args) -> int:
 def _cmd_snf(args) -> int:
     m = IntegerMatrix.from_doc(_read_doc(args.input))
     snf = smith_normal_form(m)
-    group = cokernel(m)
+    group = snf.cokernel
     payload = {
         "diagonal": [str(d) for d in snf.diagonal],
         "rank": snf.rank,

@@ -7,9 +7,10 @@ is meant to be a certificate, not an approximation.
 
 The central computation is the Smith normal form D = U * M * V with
 unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
-diagonal.  From it the cokernel Z^cols / rowspan(M) is read off as an
-abelian group.  A second, independent route to the same invariant
-factors (gcds of k x k minors) is provided for cross-checking and is
+diagonal, found by one elimination on the block matrix [[M, I], [I, 0]].
+From it the cokernel Z^cols / rowspan(M) is read off as an abelian
+group.  A second, independent route to the same invariant factors
+(gcds of k x k minors) is provided for cross-checking and is
 deliberately not implemented in terms of the first.
 """
 
@@ -213,14 +214,12 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+    @property
+    def cokernel(self) -> "AbelianGroup":
+        """The group Z^cols / (row span of m); see cokernel()."""
+        return AbelianGroup(
+            self.d.cols - self.rank, tuple(x for x in self.diagonal if x >= 2)
+        )
 
 
 def _add_row(m, dst, src, c):
@@ -236,12 +235,13 @@ def _add_col(m, dst, src, c):
         row[dst] += c * row[src]
 
 
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
 def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     """Smith normal form with explicit unimodular transforms.
+
+    One elimination runs on the block matrix [[m, I], [I, 0]]: row
+    operations act on whole top rows and column operations on whole
+    left columns, so it ends as [[d, u], [v, 0]].  Pivot search and the
+    divisibility check look only at the top-left block.
 
     Pivots are chosen as the smallest nonzero entry in absolute value of
     the remaining submatrix, which keeps coefficient growth tame.  Each
@@ -252,10 +252,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     pivot row by a row addition and the reduction restarts; this is the
     standard trick that forces the divisibility chain.
     """
-    a = [list(row) for row in m.entries()]
     nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    a = [list(row) + [int(i == j) for j in range(nr)]
+         for i, row in enumerate(m.entries())]
+    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     for t in range(min(nr, nc)):
         while True:
@@ -271,11 +271,10 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             if best == 0:
                 break
             if pi != t:
-                _swap_rows(a, t, pi)
-                _swap_rows(u, t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                _swap_cols(a, t, pj)
-                _swap_cols(v, t, pj)
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
             pivot = a[t][t]
             dirty = False
             for i in range(t + 1, nr):
@@ -283,7 +282,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                     q = a[i][t] // pivot
                     if q != 0:
                         _add_row(a, i, t, -q)
-                        _add_row(u, i, t, -q)
                     if a[i][t] != 0:
                         dirty = True
             for j in range(t + 1, nc):
@@ -291,7 +289,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                     q = a[t][j] // pivot
                     if q != 0:
                         _add_col(a, j, t, -q)
-                        _add_col(v, j, t, -q)
                     if a[t][j] != 0:
                         dirty = True
             if dirty:
@@ -309,13 +306,13 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
                 break
             # pull the bad row up; clearing it will shrink the pivot
             _add_row(a, t, offender, 1)
-            _add_row(u, t, offender, 1)
         if a[t][t] < 0:
-            _negate_row(a, t)
-            _negate_row(u, t)
+            a[t] = [-x for x in a[t]]
 
     return SmithForm(
-        IntegerMatrix(u, nr), IntegerMatrix(a, nc), IntegerMatrix(v, nc)
+        IntegerMatrix([row[nc:] for row in a[:nr]], nr),
+        IntegerMatrix([row[:nc] for row in a[:nr]], nc),
+        IntegerMatrix(a[nr:], nc),
     )
 
 
@@ -378,9 +375,7 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
     Smith diagonal: zero diagonal entries and missing pivots contribute
     free summands, entries >= 2 contribute finite cyclic summands.
     """
-    diagonal = smith_normal_form(m).diagonal
-    rank = sum(1 for x in diagonal if x != 0)
-    return AbelianGroup(m.cols - rank, tuple(d for d in diagonal if d >= 2))
+    return smith_normal_form(m).cokernel
 
 
 def minors_gcd_oracle(m: IntegerMatrix) -> AbelianGroup:

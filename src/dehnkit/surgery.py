@@ -207,6 +207,13 @@ _FAMILY_LINKS = (
     ("e", "x", 1),
 )
 
+# independent of n, so checked once at import
+_DISTANCE_ONE_SWAP = (
+    distance(MERIDIAN, LONGITUDE) == 1
+    and AXIS_SWAP.apply(MERIDIAN) == LONGITUDE
+    and AXIS_SWAP.apply(LONGITUDE) == MERIDIAN
+)
+
 
 def mn_framed_link(n: int) -> tuple[FramedLink, dict[int, Slope]]:
     """The n-th family diagram with its five chain fillings.
@@ -315,11 +322,6 @@ def certify_family(n: int) -> FamilyReport:
 
     schubert = family_schubert(n)
     verdict = INCONCLUSIVE if torsion == lens_order else CERTIFIED
-    swap_ok = (
-        distance(MERIDIAN, LONGITUDE) == 1
-        and AXIS_SWAP.apply(MERIDIAN) == LONGITUDE
-        and AXIS_SWAP.apply(LONGITUDE) == MERIDIAN
-    )
     return FamilyReport(
         n=n,
         schubert=schubert,
@@ -328,7 +330,7 @@ def certify_family(n: int) -> FamilyReport:
         lens_order=lens_order,
         chirality="achiral" if is_achiral_lens(schubert) else "chiral",
         null_homology=verdict,
-        distance_one_swap=swap_ok,
+        distance_one_swap=_DISTANCE_ONE_SWAP,
     )
 
 

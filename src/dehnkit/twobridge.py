@@ -200,12 +200,14 @@ def family_schubert(n: int) -> SchubertForm:
     """Schubert normal form of the closure of C(n, n, -1, n, n).
 
     Evaluates the continued fraction and checks the result against the
-    closed-form polynomials before reducing q mod p.
+    closed-form polynomials before reducing q mod p; a mismatch is a
+    fault here, not bad input, so it raises RuntimeError.
     """
     word = family_word(n)
     s = continued_fraction(word)
     p, q = family_polynomials(n)
     # p(n) > 0 for n != 1 and the slope denominator is normalized
     # positive, so the match must be exact
-    assert (s.q, s.p) == (p, q), (n, s)
+    if (s.q, s.p) != (p, q):
+        raise RuntimeError(f"n = {n}: {word} gives {s}, not {q}/{p}")
     return SchubertForm.from_slope(s)

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
-from dehnkit import IntegerMatrix, mn_framed_link
+from dehnkit import IntegerMatrix, cli, matrices, mn_framed_link
 from dehnkit.cli import main
 
 
@@ -184,6 +186,24 @@ def test_snf_json_carries_transforms(tmp_path, capsys):
     assert u * IntegerMatrix([[2, 0], [0, 3]]) * v == d
 
 
+def test_snf_command_runs_one_smith_normal_form(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = matrices.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(cli, "smith_normal_form", counting)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_doc([[2, 4], [6, 8]]))
+    code, out, _ = run(capsys, "snf", "--json", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["cokernel"] == "Z/2 + Z/4"
+    assert len(calls) == 1
+
+
 def test_snf_malformed_document(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 1}')
@@ -338,6 +358,27 @@ def test_outputs_are_deterministic(capsys):
     a = run(capsys, "surgery", "--json", "--template", "mn", "-n", "5")
     b = run(capsys, "surgery", "--json", "--template", "mn", "-n", "5")
     assert a == b
+
+
+# sha256 of stdout, recorded before the Smith elimination moved to one
+# block matrix; any change to U, D, V or the family reports shows here
+GOLDEN_SNF_12X12 = "bd9871eb51720a7565d6924ecb9c9dfe1a4024ad5c6df68ca15fba5fdf58a040"
+GOLDEN_FAMILY_MINUS5_5 = "a79b3977bd9201ee164eb40ac154c7ed00b894aae807e992bd2d42ced3f88e75"
+
+
+def test_json_outputs_match_golden_digests(tmp_path, capsys):
+    rng = random.Random(12)
+    path = tmp_path / "m12.json"
+    path.write_text(
+        matrix_doc([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+    )
+    for argv, digest in (
+        (("snf", "--json", "--input", str(path)), GOLDEN_SNF_12X12),
+        (("family", "--json", "-5", "5"), GOLDEN_FAMILY_MINUS5_5),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_unknown_subcommand_is_an_input_error(capsys):
