@@ -35,7 +35,7 @@ assert not failures
 
 print()
 print("-- distinctness --")
-hashes = [r.distinctness_hash for r in reports]
-print(f"  {len(reports)} reports, {len(set(hashes))} distinct torsion "
+orders = [r.torsion for r in reports]
+print(f"  {len(reports)} reports, {len(set(orders))} distinct torsion "
       f"orders: no two members have the same homology")
-assert len(hashes) == len(set(hashes))
+assert len(orders) == len(set(orders))

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over one library call.  Exit codes
-follow one contract throughout: 0 for success, 1 for a verification
-failure (only the family sweep can produce one), 2 for bad input of
-any kind.  With --json each command prints a single JSON object with
-sorted keys, so identical inputs give byte-identical output.
+Every subcommand is a thin shell over one library call; its handler
+returns (payload, text) and main alone prints one of them.  --json,
+given after the subcommand's own words, prints the payload as one JSON
+object with sorted keys, so identical inputs give byte-identical
+output.  Exit codes: 0 for success, 1 for a verification failure (only
+the family sweep can produce one), 2 for bad input of any kind.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .twobridge import (
 )
 
 
-def _emit(args, payload: dict, text: str):
-    """Print the machine- or human-readable form of one result."""
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    elif text:
-        print(text)
-
-
 def _read_doc(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
@@ -61,41 +54,37 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
 # subcommand handlers
 # ----------------------------------------------------------------------
 
-def _cmd_slope(args) -> int:
+def _cmd_slope(args) -> tuple[dict, str]:
     if args.action == "normalize":
         s = Slope(args.ints[0], args.ints[1])
-        _emit(args, {"slope": str(s)}, str(s))
-    elif args.action == "dist":
+        return {"slope": str(s)}, str(s)
+    if args.action == "dist":
         d = distance(Slope.parse(args.slopes[0]), Slope.parse(args.slopes[1]))
-        _emit(args, {"distance": d}, str(d))
-    elif args.action == "apply":
-        inv = SlopeInvolution(*args.ints)
+        return {"distance": d}, str(d)
+    inv = SlopeInvolution(*args.ints)
+    if args.action == "apply":
         s = inv.apply(Slope.parse(args.slopes[0]))
-        _emit(args, {"slope": str(s)}, str(s))
-    else:  # fixed
-        inv = SlopeInvolution(*args.ints)
-        found = fixed_slopes(inv, args.bound)
-        payload = {
-            "bound": args.bound,
-            "is_involution": inv.is_involution(),
-            "slopes": [str(s) for s in found],
-        }
-        _emit(args, payload, "\n".join(str(s) for s in found))
-    return 0
+        return {"slope": str(s)}, str(s)
+    found = fixed_slopes(inv, args.bound)
+    payload = {
+        "bound": args.bound,
+        "is_involution": inv.is_involution(),
+        "slopes": [str(s) for s in found],
+    }
+    return payload, "\n".join(str(s) for s in found)
 
 
 def _parse_word(parts: list[str]) -> ConwayWord:
     return ConwayWord.parse(" ".join(parts))
 
 
-def _cmd_cfrac(args) -> int:
+def _cmd_cfrac(args) -> tuple[dict, str]:
     word = _parse_word(args.entries)
     s = continued_fraction(word)
-    _emit(args, {"word": list(word.entries), "slope": str(s)}, str(s))
-    return 0
+    return {"word": list(word.entries), "slope": str(s)}, str(s)
 
 
-def _cmd_twobridge(args) -> int:
+def _cmd_twobridge(args) -> tuple[dict, str]:
     word = _parse_word(args.entries)
     s = continued_fraction(word)
     form = SchubertForm.from_slope(s)
@@ -114,11 +103,10 @@ def _cmd_twobridge(args) -> int:
             f"components: {form.components} ({parity})",
         ]
     )
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
-def _cmd_lens(args) -> int:
+def _cmd_lens(args) -> tuple[dict, str]:
     form = SchubertForm(args.p, args.q)
     parity = "knot" if form.is_knot else "2-component link"
     achiral = is_achiral_lens(form)
@@ -150,11 +138,10 @@ def _cmd_lens(args) -> int:
             "verdict": verdict,
         }
         lines.append(f"compare {other}: {verdict}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
-def _cmd_snf(args) -> int:
+def _cmd_snf(args) -> tuple[dict, str]:
     m = IntegerMatrix.from_doc(_read_doc(args.input))
     snf = smith_normal_form(m)
     group = snf.cokernel
@@ -172,31 +159,22 @@ def _cmd_snf(args) -> int:
             f"cokernel: {group}",
         ]
     )
-    _emit(args, payload, text)
-    return 0
+    return payload, text
 
 
 def _load_surgery(args):
-    if args.input and args.template:
-        raise ValueError("choose either --input or --template, not both")
-    if args.template:
-        if args.template == "mn":
-            if args.twists is None:
-                raise ValueError("the mn template needs --twists")
-            return mn_framed_link(args.twists)
-        if args.template == "unknot":
-            if args.twists is not None:
-                raise ValueError("--twists only applies to the mn template")
-            return FramedLink(((0,),)), {}
-        raise ValueError(f"unknown template {args.template!r}")
-    if args.input:
-        if args.twists is not None:
-            raise ValueError("--twists only applies to the mn template")
-        return FramedLink.from_doc(_read_doc(args.input))
-    raise ValueError("need an --input document or a --template name")
+    if args.template == "mn":
+        if args.twists is None:
+            raise ValueError("the mn template needs --twists")
+        return mn_framed_link(args.twists)
+    if args.twists is not None:
+        raise ValueError("--twists only applies to the mn template")
+    if args.template == "unknot":
+        return FramedLink(((0,),)), {}
+    return FramedLink.from_doc(_read_doc(args.input))
 
 
-def _cmd_surgery(args) -> int:
+def _cmd_surgery(args) -> tuple[dict, str]:
     link, fills = _load_surgery(args)
     for component in args.drill or ():
         i = link.index(component)
@@ -218,11 +196,10 @@ def _cmd_surgery(args) -> int:
         "free_rank": group.free_rank,
         "invariant_factors": [str(d) for d in group.invariant_factors],
     }
-    _emit(args, payload, str(group))
-    return 0
+    return payload, str(group)
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, str]:
     reports, failures = verify_family(args.n_min, args.n_max)
     header = ["n", "schubert", "comps", "t", "p", "chirality",
               "null-homology", "swap"]
@@ -245,15 +222,11 @@ def _cmd_family(args) -> int:
         "failures": failures,
         "ok": not failures,
     }
-    if args.json:
-        _emit(args, payload, "")
+    if failures:
+        summary = f"FAILED: {failures[0]}"
     else:
-        print(_table(header, rows))
-        if failures:
-            print(f"FAILED: {failures[0]}")
-        else:
-            print(f"all checks passed ({len(reports)} reports)")
-    return 1 if failures else 0
+        summary = f"all checks passed ({len(reports)} reports)"
+    return payload, _table(header, rows) + "\n" + summary
 
 
 # ----------------------------------------------------------------------
@@ -279,23 +252,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable output"
     )
 
-    p = sub.add_parser("slope", parents=[common],
-                       help="normalize, distance, coordinate changes")
+    # --json only on each action, whose default would overwrite a copy
+    # on the group
+    p = sub.add_parser("slope", help="normalize, distance, coordinate changes")
+    p.set_defaults(func=_cmd_slope)
     slope_sub = p.add_subparsers(dest="action", required=True)
     q = slope_sub.add_parser("normalize", parents=[common])
     q.add_argument("ints", type=int, nargs=2, metavar="INT")
-    q.set_defaults(func=_cmd_slope)
     q = slope_sub.add_parser("dist", parents=[common])
     q.add_argument("slopes", nargs=2, metavar="SLOPE")
-    q.set_defaults(func=_cmd_slope)
     q = slope_sub.add_parser("apply", parents=[common])
     q.add_argument("ints", type=int, nargs=4, metavar="INT")
     q.add_argument("slopes", nargs=1, metavar="SLOPE")
-    q.set_defaults(func=_cmd_slope)
     q = slope_sub.add_parser("fixed", parents=[common])
     q.add_argument("ints", type=int, nargs=4, metavar="INT")
     q.add_argument("--bound", type=int, default=100)
-    q.set_defaults(func=_cmd_slope)
 
     p = sub.add_parser("cfrac", parents=[common],
                        help="evaluate a Conway word to a fraction")
@@ -322,10 +293,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surgery", parents=[common],
                        help="first homology of a filled surgery description")
-    p.add_argument("--input", metavar="FILE",
-                   help="framed-link document, '-' for stdin")
-    p.add_argument("--template", metavar="NAME",
-                   help="built-in link: mn (needs --twists) or unknot")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="FILE",
+                        help="framed-link document, '-' for stdin")
+    source.add_argument("--template", choices=("mn", "unknot"),
+                        help="built-in link: mn (needs --twists) or unknot")
     p.add_argument("-n", "--twists", type=int,
                    help="parameter n for the mn template")
     p.add_argument("--fill", action="append", metavar="COMPONENT=P/Q",
@@ -344,16 +316,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        payload, text = args.func(args)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+        elif text:
+            print(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if payload.get("failures") else 0
 
 
 def run():

@@ -19,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
+from operator import index
 
 
 class MatrixError(ValueError):
     """Raised for malformed matrices or documents."""
+
+
+def doc_integer(x) -> int:
+    """Read a document integer, an int or a decimal string; no floats."""
+    return int(x) if isinstance(x, str) else index(x)
 
 
 class IntegerMatrix:
@@ -31,7 +37,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(index, row)) for row in data)
         if data:
             cols = len(data[0]) if cols is None else cols
             for row in data:
@@ -154,8 +160,8 @@ class IntegerMatrix:
     def from_doc(cls, doc: dict) -> "IntegerMatrix":
         """Read a matrix document; entries may be strings or integers."""
         try:
-            rows, cols = int(doc["rows"]), int(doc["cols"])
-            entries = doc["entries"]
+            rows, cols = doc_integer(doc["rows"]), doc_integer(doc["cols"])
+            entries = [list(row) for row in doc["entries"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise MatrixError(f"malformed matrix document: {exc}") from None
         if rows < 0 or cols < 0:
@@ -171,7 +177,7 @@ class IntegerMatrix:
                     f"document announces {cols} cols but a row has {len(row)}"
                 )
             try:
-                parsed.append([int(x) for x in row])
+                parsed.append([doc_integer(x) for x in row])
             except (TypeError, ValueError):
                 raise MatrixError(f"non-integer entry in row {row!r}") from None
         return cls(parsed, cols)

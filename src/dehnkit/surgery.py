@@ -23,9 +23,10 @@ n except n = 2, that the core of the axis is not null-homologous.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .matrices import AbelianGroup, IntegerMatrix, cokernel
+from .matrices import AbelianGroup, IntegerMatrix, cokernel, doc_integer
 from .slopes import AXIS_SWAP, LONGITUDE, MERIDIAN, Slope, distance
 from .twobridge import SchubertForm, family_schubert, is_achiral_lens
 
@@ -53,7 +54,7 @@ class FramedLink:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        linking = tuple(tuple(int(x) for x in row) for row in self.linking)
+        linking = tuple(tuple(map(operator.index, r)) for r in self.linking)
         m = len(linking)
         for i, row in enumerate(linking):
             if len(row) != m:
@@ -129,8 +130,9 @@ class FramedLink:
     def from_doc(cls, doc: dict) -> tuple["FramedLink", dict[int, Slope]]:
         """Read a link document, returning the link and its fillings."""
         try:
-            m = int(doc["components"])
-            linking = doc["linking"]
+            m = doc_integer(doc["components"])
+            linking = tuple(tuple(map(doc_integer, r)) for r in doc["linking"])
+            labels = tuple(doc.get("labels", ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError(f"malformed link document: {exc}") from None
         if len(linking) != m:
@@ -138,10 +140,13 @@ class FramedLink:
                 f"document announces {m} components but the linking "
                 f"matrix has {len(linking)} rows"
             )
-        labels = tuple(doc.get("labels", ()))
-        link = cls(tuple(tuple(row) for row in linking), labels)
-        fillings = link.resolve_fillings(doc.get("fillings", {}))
-        return link, fillings
+        fillings = doc.get("fillings", {})
+        if not isinstance(fillings, dict) or not all(
+                isinstance(s, str) for s in fillings.values()):
+            raise SurgeryError("malformed link document: fillings must map "
+                               "components to 'p/q' strings")
+        link = cls(linking, labels)
+        return link, link.resolve_fillings(fillings)
 
 
 def build_presentation(link: FramedLink, fillings) -> IntegerMatrix:
@@ -254,9 +259,9 @@ class FamilyReport:
     """Everything certify_family establishes about one parameter n.
 
     null_homology is one of the two verdict strings CERTIFIED and
-    INCONCLUSIVE; no other value is ever produced.  The distinctness
-    hash is the torsion order, which separates the family members
-    pairwise.
+    INCONCLUSIVE; no other value is ever produced.  The torsion order
+    separates the family members pairwise, so as_dict also reports it
+    as the distinctness hash.
     """
 
     n: int
@@ -268,10 +273,6 @@ class FamilyReport:
     null_homology: str
     distance_one_swap: bool
 
-    @property
-    def distinctness_hash(self) -> int:
-        return self.torsion
-
     def as_dict(self) -> dict:
         return {
             "n": self.n,
@@ -282,7 +283,7 @@ class FamilyReport:
             "chirality": self.chirality,
             "null_homology": self.null_homology,
             "distance_one_swap": self.distance_one_swap,
-            "distinctness_hash": self.distinctness_hash,
+            "distinctness_hash": self.torsion,
         }
 
 
@@ -380,11 +381,11 @@ def verify_family(n_lo: int, n_hi: int):
             failures.append(f"swap n={n}: closing slopes not distance one")
     seen: dict[int, int] = {}
     for r in reports:
-        if r.distinctness_hash in seen:
+        if r.torsion in seen:
             failures.append(
-                f"distinctness n={r.n}: hash {r.distinctness_hash} "
-                f"collides with n={seen[r.distinctness_hash]}"
+                f"distinctness n={r.n}: hash {r.torsion} "
+                f"collides with n={seen[r.torsion]}"
             )
         else:
-            seen[r.distinctness_hash] = r.n
+            seen[r.torsion] = r.n
     return reports, failures

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dehnkit import IntegerMatrix, cli, matrices, mn_framed_link
+from dehnkit import IntegerMatrix, cli, matrices, mn_framed_link, surgery
 from dehnkit.cli import main
 
 
@@ -46,6 +46,12 @@ def test_slope_fixed(capsys):
         "is_involution": True,
         "slopes": ["-1/1", "1/1"],
     }
+
+
+def test_slope_json_goes_after_the_action(capsys):
+    code, out, err = run(capsys, "slope", "--json", "normalize", "-2", "-4")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
 
 
 def test_slope_rejects_non_unimodular(capsys):
@@ -214,6 +220,21 @@ def test_snf_malformed_document(tmp_path, capsys):
     assert run(capsys, "snf", "--input", str(path))[0] == 2
 
 
+def test_malformed_documents_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    hopf = {"components": 2, "linking": [[0, 1], [1, 0]]}
+    for command, doc in (
+        ("snf", {"rows": 1, "cols": 1, "entries": 5}),
+        ("snf", {"rows": 2, "cols": 2, "entries": [[2.5, 0], [0, 3]]}),
+        ("surgery", {**hopf, "linking": [[0, 1.5], [1.5, 0]]}),
+        ("surgery", {**hopf, "fillings": {"K1": 3}}),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (2, ""), doc
+        assert err.startswith("error: "), doc
+
+
 def test_snf_missing_file(capsys):
     code, _, err = run(capsys, "snf", "--input", "/no/such/file.json")
     assert code == 2
@@ -360,25 +381,128 @@ def test_outputs_are_deterministic(capsys):
     assert a == b
 
 
-# sha256 of stdout, recorded before the Smith elimination moved to one
-# block matrix; any change to U, D, V or the family reports shows here
-GOLDEN_SNF_12X12 = "bd9871eb51720a7565d6924ecb9c9dfe1a4024ad5c6df68ca15fba5fdf58a040"
-GOLDEN_FAMILY_MINUS5_5 = "a79b3977bd9201ee164eb40ac154c7ed00b894aae807e992bd2d42ced3f88e75"
+# (argv, exit code, sha256 of stdout), recorded before the handlers
+# returned their results to one printer; "{small}", "{m12}" and
+# "{link}" name the documents written by _golden_documents
+EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN = [
+    (("slope", "normalize", "-2", "-4"),
+     0, "de7e55cd172f2065828bdd6c2015c5e92fdd6271ab1bd0f30a5e15104e64678d"),
+    (("slope", "normalize", "--json", "-2", "-4"),
+     0, "b728bb6d9dfd8486b6e8ae58127ed43efc841e38ba74226b8fefa9799d8a79c7"),
+    (("slope", "dist", "2/3", "-2/3"),
+     0, "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164"),
+    (("slope", "dist", "--json", "1/0", "0/1"),
+     0, "70aad1bccf94efb5aed4cb4e572101f4190049de4d4077209e0ffce5b17c96c3"),
+    (("slope", "apply", "0", "1", "1", "0", "1/0"),
+     0, "d61e82b5761ad27edd18ae5d67d671c6c8a4139b2c0f9f2606503976dad442d9"),
+    (("slope", "apply", "--json", "0", "1", "1", "0", "-2/3"),
+     0, "1f4b875d5b99e8ddc688a73903e602416bc313f99088f9f44c2ef6f89c356070"),
+    (("slope", "fixed", "0", "1", "1", "0", "--bound", "5"),
+     0, "08f6f06fa4d55c5e0a7a9d548f26ae8e0f39e18035e3771d82ddcee4fcbd42d6"),
+    (("slope", "fixed", "0", "1", "1", "0", "--json"),
+     0, "f2945f6d32380dd4c0c93038a3a529836a66483358912bda11f4ac0184140c15"),
+    (("slope", "fixed", "1", "1", "0", "1", "--bound", "0"),
+     0, EMPTY),
+    (("slope", "fixed", "1", "1", "0", "1", "--bound", "0", "--json"),
+     0, "daa590994aff54800e1e8628eece630043c6653a154395a4a8518563aaa4050a"),
+    (("slope", "apply", "1", "0", "0", "2", "1/1"),
+     2, EMPTY),
+    (("cfrac", "3", "3", "-1", "3", "3"),
+     0, "5455d832559a63302642f16e7ad9b68ea5205c4db2379d88d0db68fdc2771d10"),
+    (("cfrac", "--json", "2,2,-1,2,2"),
+     0, "0c23e0ece6097ab5585f6c9d7504159cdd6129fca49a15e886d962ae7b02b40a"),
+    (("cfrac", "3", "1", "-1"),
+     2, EMPTY),
+    (("twobridge", "3", "3", "-1", "3", "3"),
+     0, "f0c34bf93f3164f4dd46d71ce2a5ba9f169e60bfd71f0fb2dc0b7bb5e62cbe81"),
+    (("twobridge", "--json", "2", "2", "-1", "2", "2"),
+     0, "610f2075b223b9802a76b39a2cd4701343ff3f24816e955c78b8d4ab0d818151"),
+    (("lens", "40", "11", "--compare", "40", "29"),
+     0, "40fd3a922de8a74a641100b64bf67525351326bd345a5f5e3eaecfd6c5bb46c6"),
+    (("lens", "--json", "5", "2", "--compare", "5", "3"),
+     0, "893c3748800497bd1a45e69824666bea7d642d03db48ec8dabb7bacad1324d22"),
+    (("lens", "--json", "7", "1"),
+     0, "5e2272de2dc4de9c2114df82b0a7a7f1b6def3819074cd26ee57caecc8b9fc75"),
+    (("lens", "4", "2"),
+     2, EMPTY),
+    (("snf", "--input", "{small}"),
+     0, "c74270f9aae5e71304c69d276da8861590d05418e91f6c3c0e96e362827f6eb5"),
+    (("snf", "--json", "--input", "{small}"),
+     0, "6e662218b05036c833ba8b301e91099943452fbfe77e149750caeaa34f26ce01"),
+    (("snf", "--input", "{m12}"),
+     0, "96bbf7ad7241b808574488cdce3b6e8d897b47f1faf83536c7b7f6293d5dfa6a"),
+    (("snf", "--json", "--input", "{m12}"),
+     0, "bd9871eb51720a7565d6924ecb9c9dfe1a4024ad5c6df68ca15fba5fdf58a040"),
+    (("snf", "--input", "/no/such/file.json"),
+     2, EMPTY),
+    (("surgery", "--template", "mn", "-n", "3", "--drill", "a", "--fill",
+      "a=3/1"),
+     0, "f3eadc9a520a37b38e5cb1af4263892e58d26b35fe5cae83a705fb81a8a19c0d"),
+    (("surgery", "--json", "--template", "mn", "-n", "-2"),
+     0, "ef40a1419e28ff6457ab7ecde1672eaac0bd831aebd1027fb728b1f375b6b53a"),
+    (("surgery", "--template", "unknot", "--fill", "K1=0/1"),
+     0, "ec39b67830c0c34d71b0b6bf1d1c424eb7caab9222eb401fdaef044cf2145e9b"),
+    (("surgery", "--json", "--template", "unknot"),
+     0, "88a63ef1c176665195f8112a0e28426f0575992c18541765b9f3e20c183e3cdd"),
+    (("surgery", "--input", "{link}", "--fill", "x=1/0"),
+     0, "076304e1afb07bf5ebb64dc1c97fc7909792e2a387a855bf3baa0f8613f966c7"),
+    (("surgery", "--json", "--input", "{link}"),
+     0, "9c901f5d8b614651917f80dfe0a90aa6f3ec360a833823245d6ecaa80570658e"),
+    (("surgery", "--template", "mn"),
+     2, EMPTY),
+    (("surgery", "--template", "mn", "-n", "2", "--fill", "x:1/0"),
+     2, EMPTY),
+    (("family", "2", "3"),
+     0, "5927fb007bcd365e09afd11d3b31dbc773ff2daad71523faacfb36f9d258f8ac"),
+    (("family", "-5", "5"),
+     0, "cf9b47064ddeff9765b1e42c79b512f8e68ed8e01ee66afa4f093a89db3a711d"),
+    (("family", "--json", "-5", "5"),
+     0, "a79b3977bd9201ee164eb40ac154c7ed00b894aae807e992bd2d42ced3f88e75"),
+    (("family", "3", "2"),
+     2, EMPTY),
+]
+
+
+def _golden_documents(tmp_path) -> dict[str, str]:
+    rng = random.Random(12)
+    docs = {
+        "small": matrix_doc([[2, 0], [0, 3]]),
+        "m12": matrix_doc(
+            [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+        ),
+    }
+    link, fills = mn_framed_link(2)
+    docs["link"] = json.dumps(link.to_doc(fills))
+    for name, text in docs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {name: str(tmp_path / f"{name}.json") for name in docs}
 
 
 def test_json_outputs_match_golden_digests(tmp_path, capsys):
-    rng = random.Random(12)
-    path = tmp_path / "m12.json"
-    path.write_text(
-        matrix_doc([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
-    )
-    for argv, digest in (
-        (("snf", "--json", "--input", str(path)), GOLDEN_SNF_12X12),
-        (("family", "--json", "-5", "5"), GOLDEN_FAMILY_MINUS5_5),
-    ):
+    paths = _golden_documents(tmp_path)
+    for argv, code, digest in GOLDEN:
+        argv = [a.format(**paths) for a in argv]
+        got, out, _ = run(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == \
+            (code, digest), argv
+
+
+# the family sweep with family_torsion patched to disagree at every n
+GOLDEN_FAMILY_FAILURE = {
+    ("family", "2", "3"):
+        "a0bd789e9e8fba32313a31889d806a383f2888de2a71e79b20cf712b105aae01",
+    ("family", "--json", "2", "3"):
+        "75dfee063fa8ca0b0283eef471097f413aa41278d5c0f8caae433de0fb6fc1d7",
+}
+
+
+def test_family_failure_output_matches_golden_digests(capsys, monkeypatch):
+    monkeypatch.setattr(surgery, "family_torsion", lambda n: 0)
+    for argv, digest in GOLDEN_FAMILY_FAILURE.items():
         code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            (1, digest), argv
 
 
 def test_unknown_subcommand_is_an_input_error(capsys):

@@ -271,6 +271,11 @@ def test_doc_accepts_plain_integers():
         {"rows": 1, "cols": 2, "entries": [["1"]]},
         {"rows": 1, "cols": 1, "entries": [["x"]]},
         {"rows": -1, "cols": 1, "entries": []},
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 1, "cols": 1, "entries": [5]},
+        {"rows": 2, "cols": 2, "entries": [[2.5, 0], [0, 3]]},
+        {"rows": 1.5, "cols": 1, "entries": [["1"]]},
+        {"rows": 1, "cols": 1.0, "entries": [["1"]]},
     ],
 )
 def test_doc_validation(doc):
