@@ -4,8 +4,10 @@ Every subcommand is a thin shell over one library call; its handler
 returns (payload, text) and main alone prints one of them.  --json,
 given after the subcommand's own words, prints the payload as one JSON
 object with sorted keys, so identical inputs give byte-identical
-output.  Exit codes: 0 for success, 1 for a verification failure (only
-the family sweep can produce one), 2 for bad input of any kind.
+output.  A payload may carry an IntegerMatrix; main spells it as a
+matrix document only under --json, so text mode never pays for it.
+Exit codes: 0 for success, 1 for a verification failure (only the
+family sweep can produce one), 2 for bad input of any kind.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ import json
 import re
 import sys
 
-from .matrices import IntegerMatrix, cokernel, smith_normal_form
+from .matrices import IntegerMatrix, smith_normal_form
 from .slopes import Slope, SlopeInvolution, distance, fixed_slopes
 from .surgery import (
-    FramedLink,
-    build_presentation,
-    mn_framed_link,
-    verify_family,
+    FramedLink, mn_framed_link, surgered_homology, verify_family,
 )
 from .twobridge import (
     ConwayWord,
@@ -149,9 +148,9 @@ def _cmd_snf(args) -> tuple[dict, str]:
         "diagonal": [str(d) for d in snf.diagonal],
         "rank": snf.rank,
         "cokernel": str(group),
-        "u": snf.u.to_doc(),
-        "d": snf.d.to_doc(),
-        "v": snf.v.to_doc(),
+        "u": snf.u,
+        "d": snf.d,
+        "v": snf.v,
     }
     text = "\n".join(
         [
@@ -188,7 +187,7 @@ def _cmd_surgery(args) -> tuple[dict, str]:
         if not sep:
             raise ValueError(f"fill {item!r} is not of the form COMPONENT=P/Q")
         fills[link.index(component)] = Slope.parse(slope)
-    group = cokernel(build_presentation(link, fills))
+    group = surgered_homology(link, fills)
     payload = {
         "components": link.num_components,
         "fillings": {link.labels[i]: str(s) for i, s in sorted(fills.items())},
@@ -323,7 +322,8 @@ def main(argv=None) -> int:
     try:
         payload, text = args.func(args)
         if args.json:
-            print(json.dumps(payload, sort_keys=True))
+            print(json.dumps(payload, sort_keys=True,
+                             default=IntegerMatrix.to_doc))
         elif text:
             print(text)
     except (ValueError, OSError) as exc:

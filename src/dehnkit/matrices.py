@@ -28,6 +28,8 @@ class MatrixError(ValueError):
 
 def doc_integer(x) -> int:
     """Read a document integer, an int or a decimal string; no floats."""
+    if isinstance(x, bool):  # index(True) is 1, but JSON true is no integer
+        raise TypeError(f"{x!r} is not an integer")
     return int(x) if isinstance(x, str) else index(x)
 
 
@@ -42,7 +44,9 @@ class IntegerMatrix:
             cols = len(data[0]) if cols is None else cols
             for row in data:
                 if len(row) != cols:
-                    raise MatrixError("rows have unequal lengths")
+                    raise MatrixError(
+                        f"a row has {len(row)} entries, not {cols}"
+                    )
         elif cols is None:
             raise MatrixError("empty matrix needs an explicit column count")
         object.__setattr__(self, "rows", len(data))
@@ -158,29 +162,26 @@ class IntegerMatrix:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "IntegerMatrix":
-        """Read a matrix document; entries may be strings or integers."""
+        """Read a matrix document; link documents read linking here too.
+
+        entries is an array of arrays of JSON integers or decimal strings.
+        """
         try:
             rows, cols = doc_integer(doc["rows"]), doc_integer(doc["cols"])
-            entries = [list(row) for row in doc["entries"]]
+            entries = doc["entries"]
+            if not isinstance(entries, list) or not all(
+                    isinstance(row, list) for row in entries):
+                raise TypeError("entries must be an array of arrays")
+            data = [list(map(doc_integer, row)) for row in entries]
         except (KeyError, TypeError, ValueError) as exc:
             raise MatrixError(f"malformed matrix document: {exc}") from None
         if rows < 0 or cols < 0:
             raise MatrixError("matrix dimensions must be nonnegative")
-        if len(entries) != rows:
+        if len(data) != rows:
             raise MatrixError(
-                f"document announces {rows} rows but carries {len(entries)}"
+                f"document announces {rows} rows but carries {len(data)}"
             )
-        parsed = []
-        for row in entries:
-            if len(row) != cols:
-                raise MatrixError(
-                    f"document announces {cols} cols but a row has {len(row)}"
-                )
-            try:
-                parsed.append([doc_integer(x) for x in row])
-            except (TypeError, ValueError):
-                raise MatrixError(f"non-integer entry in row {row!r}") from None
-        return cls(parsed, cols)
+        return cls(data, cols)
 
     def __str__(self):
         if self.rows == 0 or self.cols == 0:

@@ -131,21 +131,20 @@ class FramedLink:
         """Read a link document, returning the link and its fillings."""
         try:
             m = doc_integer(doc["components"])
-            linking = tuple(tuple(map(doc_integer, r)) for r in doc["linking"])
-            labels = tuple(doc.get("labels", ()))
+            linking = IntegerMatrix.from_doc(
+                {"rows": m, "cols": m, "entries": doc["linking"]})
+            labels = doc.get("labels", [])
+            if not isinstance(labels, list) or not all(
+                    isinstance(s, str) for s in labels):
+                raise TypeError("labels must be an array of strings")
         except (KeyError, TypeError, ValueError) as exc:
             raise SurgeryError(f"malformed link document: {exc}") from None
-        if len(linking) != m:
-            raise SurgeryError(
-                f"document announces {m} components but the linking "
-                f"matrix has {len(linking)} rows"
-            )
         fillings = doc.get("fillings", {})
         if not isinstance(fillings, dict) or not all(
                 isinstance(s, str) for s in fillings.values()):
             raise SurgeryError("malformed link document: fillings must map "
                                "components to 'p/q' strings")
-        link = cls(linking, labels)
+        link = cls(linking.entries(), labels)
         return link, link.resolve_fillings(fillings)
 
 
@@ -181,8 +180,8 @@ def fill_remaining(link: FramedLink, fillings, extra) -> IntegerMatrix:
     if clash:
         names = ", ".join(link.labels[i] for i in clash)
         raise SurgeryError(f"already filled: {names}")
-    rows = [list(r) for r in build_presentation(link, base).entries()]
-    rows += [list(r) for r in build_presentation(link, added).entries()]
+    rows = build_presentation(link, base).entries()
+    rows += build_presentation(link, added).entries()
     return IntegerMatrix(rows, link.num_components)
 
 

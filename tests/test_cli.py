@@ -210,6 +210,20 @@ def test_snf_command_runs_one_smith_normal_form(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_snf_text_mode_does_not_spell_transforms(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(matrix_doc([[2, 0], [0, 3]]))
+
+    def refuse(m):
+        raise RuntimeError("text mode spelled a matrix")
+
+    monkeypatch.setattr(IntegerMatrix, "to_doc", refuse)
+    code, out, _ = run(capsys, "snf", "--input", str(path))
+    assert code == 0
+    assert out == "diagonal: 1 6\ncokernel: Z/6\n"
+
+
 def test_snf_malformed_document(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 1}')
@@ -228,6 +242,8 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys):
         ("snf", {"rows": 2, "cols": 2, "entries": [[2.5, 0], [0, 3]]}),
         ("surgery", {**hopf, "linking": [[0, 1.5], [1.5, 0]]}),
         ("surgery", {**hopf, "fillings": {"K1": 3}}),
+        ("snf", {"rows": 1, "cols": 2, "entries": ["12"]}),
+        ("surgery", {**hopf, "linking": ["01", "10"]}),
     ):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, "--input", str(path))

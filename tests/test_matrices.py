@@ -276,6 +276,8 @@ def test_doc_accepts_plain_integers():
         {"rows": 2, "cols": 2, "entries": [[2.5, 0], [0, 3]]},
         {"rows": 1.5, "cols": 1, "entries": [["1"]]},
         {"rows": 1, "cols": 1.0, "entries": [["1"]]},
+        {"rows": 1, "cols": 2, "entries": [[True, 2]]},
+        {"rows": 1, "cols": 2, "entries": ["12"]},
     ],
 )
 def test_doc_validation(doc):

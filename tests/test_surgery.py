@@ -273,6 +273,10 @@ def test_link_doc_validation():
         {"labels": 7},
         {"fillings": ["x"]},
         {"fillings": {"K1": 3}},
+        {"linking": [[False, True], [True, False]]},
+        {"linking": ["01", "10"]},
+        {"labels": "uv"},
+        {"labels": [1, 2]},
     ):
         with pytest.raises(SurgeryError):
             FramedLink.from_doc({**hopf, **bad})
