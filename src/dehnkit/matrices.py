@@ -16,6 +16,7 @@ deliberately not implemented in terms of the first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -27,10 +28,18 @@ class MatrixError(ValueError):
 
 
 def doc_integer(x) -> int:
-    """Read a document integer, an int or a decimal string; no floats."""
+    """Read a document integer: an int, or a decimal string as to_doc writes.
+
+    A string must match -?[0-9]+ in ASCII; int() alone would also take
+    '+', underscores, surrounding whitespace and non-ASCII digits.
+    """
     if isinstance(x, bool):  # index(True) is 1, but JSON true is no integer
         raise TypeError(f"{x!r} is not an integer")
-    return int(x) if isinstance(x, str) else index(x)
+    if isinstance(x, str):
+        if not re.fullmatch("-?[0-9]+", x):
+            raise ValueError(f"{x!r} is not a decimal integer")
+        return int(x)
+    return index(x)
 
 
 class IntegerMatrix:
@@ -336,8 +345,9 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
-        if self.free_rank < 0:
+        rank = index(self.free_rank)
+        factors = tuple(map(index, self.invariant_factors))
+        if rank < 0:
             raise MatrixError("free rank cannot be negative")
         for d in factors:
             if d < 2:
@@ -345,6 +355,7 @@ class AbelianGroup:
         for x, y in zip(factors, factors[1:]):
             if y % x != 0:
                 raise MatrixError(f"broken divisibility chain {factors}")
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
 
     @property

@@ -13,7 +13,7 @@ integers, never floats, so nothing here overflows or rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 
 class SlopeError(ValueError):
@@ -148,5 +148,28 @@ def canonical_slopes(bound: int):
 
 
 def fixed_slopes(inv: SlopeInvolution, bound: int) -> list[Slope]:
-    """All slopes with |p|, |q| <= bound fixed by the coordinate change."""
-    return [s for s in canonical_slopes(bound) if inv.apply(s) == s]
+    """All slopes with |p|, q <= bound fixed by the coordinate change.
+
+    [[a, b], [c, d]] fixes p/q exactly when
+    c*p^2 + (d - a)*p*q - b*q^2 = 0, so the fixed slopes are the
+    rational roots of that form: every slope for +-Id, at most two
+    otherwise.  They come in canonical_slopes order, the meridian
+    first, then by q and p.
+    """
+    if bound < 0:
+        raise SlopeError("bound must be nonnegative")
+    a, b, c, d = inv.a, inv.b, inv.c, inv.d
+    if b == c == 0 and a == d:
+        return list(canonical_slopes(bound))
+    if c == 0:
+        roots = {MERIDIAN} if a == d else {MERIDIAN, Slope(b, d - a)}
+    else:
+        disc = (a + d) ** 2 - 4 * inv.det
+        r = isqrt(max(disc, 0))
+        roots = set()
+        if r * r == disc:  # a rational root needs a square discriminant
+            roots = {Slope(a - d + r, 2 * c), Slope(a - d - r, 2 * c)}
+    return sorted(
+        (s for s in roots if abs(s.p) <= bound and s.q <= bound),
+        key=lambda s: (s.q, s.p),
+    )

@@ -424,6 +424,21 @@ GOLDEN = [
      0, "daa590994aff54800e1e8628eece630043c6653a154395a4a8518563aaa4050a"),
     (("slope", "apply", "1", "0", "0", "2", "1/1"),
      2, EMPTY),
+    # one row per branch of fixed_slopes, recorded before the closed form
+    (("slope", "fixed", "1", "-2", "0", "1"),
+     0, "ac2ef9e3dc139138fe7da9d1ca02b12be73e98d53e757840f82cd2c6fb2f75d4"),
+    (("slope", "fixed", "-5", "12", "-2", "5"),
+     0, "44dd274aa4c90ebe6d563eed5aecf7caa540b1fe0628c9694d91c9235a9f64d2"),
+    (("slope", "fixed", "5", "4", "-6", "-5"),
+     0, "d9dc101d98f4756124b39c37eec299c092ecd47a9887ef8113ec0eaab0382fe6"),
+    (("slope", "fixed", "0", "-1", "1", "0"),
+     0, EMPTY),
+    (("slope", "fixed", "-1", "0", "0", "-1", "--bound", "3"),
+     0, "d956a2e1c01c2c8285e1c8d63342d9a366f3a1f0b7f5c5e331e998ff73ed9cc2"),
+    (("slope", "fixed", "29", "-98", "8", "-27", "--bound", "3"),
+     0, EMPTY),
+    (("slope", "fixed", "0", "1", "1", "0", "--bound", "-1"),
+     2, EMPTY),
     (("cfrac", "3", "3", "-1", "3", "3"),
      0, "5455d832559a63302642f16e7ad9b68ea5205c4db2379d88d0db68fdc2771d10"),
     (("cfrac", "--json", "2,2,-1,2,2"),

@@ -206,6 +206,12 @@ def test_group_validation():
     AbelianGroup(0, (2, 6))
 
 
+def test_group_takes_integers_only():
+    for rank, factors in [(0, (2.7,)), (1.5, ()), (0, ("4",))]:
+        with pytest.raises(TypeError):
+            AbelianGroup(rank, factors)
+
+
 def test_group_str():
     assert str(AbelianGroup(0, ())) == "0"
     assert str(AbelianGroup(1, ())) == "Z"
@@ -278,6 +284,13 @@ def test_doc_accepts_plain_integers():
         {"rows": 1, "cols": 1.0, "entries": [["1"]]},
         {"rows": 1, "cols": 2, "entries": [[True, 2]]},
         {"rows": 1, "cols": 2, "entries": ["12"]},
+        {"rows": 1, "cols": 2, "entries": [["1_0", "7"]]},
+        {"rows": 1, "cols": 2, "entries": [[" 7\n", "1"]]},
+        {"rows": 1, "cols": 2, "entries": [["+3", "1"]]},
+        {"rows": 1, "cols": 1, "entries": [["\u0661\u0662"]]},
+        {"rows": 1, "cols": 1, "entries": [[""]]},
+        {"rows": 1, "cols": 1, "entries": [["-"]]},
+        {"rows": "1 ", "cols": 1, "entries": [["1"]]},
     ],
 )
 def test_doc_validation(doc):

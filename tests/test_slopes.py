@@ -1,10 +1,12 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
 
 from dehnkit import (
     AXIS_SWAP,
+    IntegerMatrix,
     LONGITUDE,
     MERIDIAN,
     Slope,
@@ -13,6 +15,7 @@ from dehnkit import (
     canonical_slopes,
     distance,
     fixed_slopes,
+    slopes,
 )
 
 IDENTITY = SlopeInvolution(1, 0, 0, 1)
@@ -195,3 +198,60 @@ def test_identity_fixes_everything():
 def test_fixed_slopes_respects_bound():
     # the shear fixes only the meridian
     assert fixed_slopes(SlopeInvolution(1, 1, 0, 1), 20) == [MERIDIAN]
+
+
+def brute_force_fixed(inv, bound):
+    return [s for s in canonical_slopes(bound) if inv.apply(s) == s]
+
+
+def test_fixed_slopes_match_brute_force():
+    entries = range(-6, 7)
+    matrices = [
+        SlopeInvolution(a, b, c, d)
+        for a, b, c, d in product(entries, repeat=4)
+        if abs(a * d - b * c) == 1
+    ]
+    assert len(matrices) == 744
+    for inv in matrices:
+        for bound in (0, 1, 2, 5, 9):
+            assert fixed_slopes(inv, bound) == brute_force_fixed(inv, bound)
+
+
+def test_fixed_slopes_do_not_enumerate(monkeypatch):
+    def refuse(bound):
+        raise RuntimeError("enumerated the slopes")
+
+    monkeypatch.setattr(slopes, "canonical_slopes", refuse)
+    assert fixed_slopes(AXIS_SWAP, 10 ** 6) == [Slope(-1, 1), Slope(1, 1)]
+    assert fixed_slopes(SlopeInvolution(1, -2, 0, 1), 10 ** 6) == [MERIDIAN]
+    assert fixed_slopes(SlopeInvolution(-5, 12, -2, 5), 10 ** 6) == [
+        Slope(2, 1), Slope(3, 1),
+    ]
+    assert fixed_slopes(SlopeInvolution(0, -1, 1, 0), 10 ** 6) == []
+    with pytest.raises(RuntimeError):  # only +-Id lists every slope
+        fixed_slopes(SlopeInvolution(-1, 0, 0, -1), 1)
+
+
+def conjugate(inv, g):
+    """g * inv * g^-1 for g = [[a, b], [c, d]] with det 1."""
+    a, b, c, d = g
+    m = (IntegerMatrix([[a, b], [c, d]])
+         * IntegerMatrix([[inv.a, inv.b], [inv.c, inv.d]])
+         * IntegerMatrix([[d, -b], [-c, a]]))
+    return SlopeInvolution(*(x for row in m.entries() for x in row))
+
+
+def test_fixed_slopes_of_large_conjugates():
+    # g has 40-digit entries and det 1; it moves 1/0 to k/(k+1) and
+    # 0/1 to (k-1)/k, so the conjugates fix those instead
+    k = 10 ** 39 + 7
+    g = (k, k - 1, k + 1, k)
+    for inv, expected in [
+        (SlopeInvolution(1, 1, 0, 1), [Slope(k, k + 1)]),  # parabolic
+        (SlopeInvolution(1, 0, 0, -1),  # reflection
+         [Slope(k - 1, k), Slope(k, k + 1)]),
+    ]:
+        big = conjugate(inv, g)
+        found = fixed_slopes(big, 10 ** 60)
+        assert found == expected
+        assert all(big.apply(s) == s for s in found)

@@ -277,6 +277,11 @@ def test_link_doc_validation():
         {"linking": ["01", "10"]},
         {"labels": "uv"},
         {"labels": [1, 2]},
+        {"linking": [["0", "1_0"], ["1_0", "0"]]},
+        {"linking": [["0", " 1\n"], [" 1\n", "0"]]},
+        {"linking": [["0", "+1"], ["+1", "0"]]},
+        {"linking": [["0", "\u0661"], ["\u0661", "0"]]},
+        {"components": "\u0662"},
     ):
         with pytest.raises(SurgeryError):
             FramedLink.from_doc({**hopf, **bad})
