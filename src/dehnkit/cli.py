@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .matrices import IntegerMatrix, smith_normal_form
+from .matrices import IntegerMatrix, doc_integer, smith_normal_form
 from .slopes import Slope, SlopeInvolution, distance, fixed_slopes
 from .surgery import (
     FramedLink, mn_framed_link, surgered_homology, verify_family,
@@ -257,15 +257,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_slope)
     slope_sub = p.add_subparsers(dest="action", required=True)
     q = slope_sub.add_parser("normalize", parents=[common])
-    q.add_argument("ints", type=int, nargs=2, metavar="INT")
+    q.add_argument("ints", type=doc_integer, nargs=2, metavar="INT")
     q = slope_sub.add_parser("dist", parents=[common])
     q.add_argument("slopes", nargs=2, metavar="SLOPE")
     q = slope_sub.add_parser("apply", parents=[common])
-    q.add_argument("ints", type=int, nargs=4, metavar="INT")
+    q.add_argument("ints", type=doc_integer, nargs=4, metavar="INT")
     q.add_argument("slopes", nargs=1, metavar="SLOPE")
     q = slope_sub.add_parser("fixed", parents=[common])
-    q.add_argument("ints", type=int, nargs=4, metavar="INT")
-    q.add_argument("--bound", type=int, default=100)
+    q.add_argument("ints", type=doc_integer, nargs=4, metavar="INT")
+    q.add_argument("--bound", type=doc_integer, default=100)
 
     p = sub.add_parser("cfrac", parents=[common],
                        help="evaluate a Conway word to a fraction")
@@ -279,9 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lens", parents=[common],
                        help="classify S(p,q): parity, mirror, achirality")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--compare", type=int, nargs=2, metavar=("P", "Q"))
+    p.add_argument("p", type=doc_integer)
+    p.add_argument("q", type=doc_integer)
+    p.add_argument("--compare", type=doc_integer, nargs=2, metavar=("P", "Q"))
     p.set_defaults(func=_cmd_lens)
 
     p = sub.add_parser("snf", parents=[common],
@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="framed-link document, '-' for stdin")
     source.add_argument("--template", choices=("mn", "unknot"),
                         help="built-in link: mn (needs --twists) or unknot")
-    p.add_argument("-n", "--twists", type=int,
+    p.add_argument("-n", "--twists", type=doc_integer,
                    help="parameter n for the mn template")
     p.add_argument("--fill", action="append", metavar="COMPONENT=P/Q",
                    help="set or override one filling slope")
@@ -307,8 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", parents=[common],
                        help="certify the knot exterior family over a range")
-    p.add_argument("n_min", type=int, nargs="?", default=-10)
-    p.add_argument("n_max", type=int, nargs="?", default=10)
+    p.add_argument("n_min", type=doc_integer, nargs="?", default=-10)
+    p.add_argument("n_max", type=doc_integer, nargs="?", default=10)
     p.set_defaults(func=_cmd_family)
 
     return parser

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
+
+from .matrices import doc_integer
 
 
 class SlopeError(ValueError):
@@ -49,8 +52,8 @@ class Slope:
         try:
             if "/" in s:
                 a, b = s.split("/")
-                return cls(int(a), int(b))
-            return cls(int(s), 1)
+                return cls(doc_integer(a), doc_integer(b))
+            return cls(doc_integer(s), 1)
         except SlopeError:
             raise
         except ValueError:
@@ -103,6 +106,8 @@ class SlopeInvolution:
     d: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if abs(self.a * self.d - self.b * self.c) != 1:
             raise SlopeError(
                 f"matrix [[{self.a}, {self.b}], [{self.c}, {self.d}]] "
@@ -118,13 +123,10 @@ class SlopeInvolution:
 
     def is_involution(self) -> bool:
         """True when the matrix squares to +Id or -Id."""
-        # entries of the square; the off-diagonal ones must vanish and
-        # the diagonal ones must be equal (then automatically +-1)
-        m00 = self.a * self.a + self.b * self.c
-        m01 = self.b * (self.a + self.d)
-        m10 = self.c * (self.a + self.d)
-        m11 = self.d * self.d + self.b * self.c
-        return m01 == 0 and m10 == 0 and m00 == m11 and abs(m00) == 1
+        # M^2 = tr(M) M - det(M) Id (Cayley-Hamilton), a multiple of Id
+        # exactly when the trace vanishes or M itself is +-Id
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return a + d == 0 or (b == c == 0 and a == d)
 
 
 # exchanges the meridian and longitude coordinates
@@ -156,7 +158,7 @@ def fixed_slopes(inv: SlopeInvolution, bound: int) -> list[Slope]:
     otherwise.  They come in canonical_slopes order, the meridian
     first, then by q and p.
     """
-    if bound < 0:
+    if index(bound) < 0:
         raise SlopeError("bound must be nonnegative")
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
     if b == c == 0 and a == d:

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 from .matrices import AbelianGroup, IntegerMatrix, cokernel, doc_integer
 from .slopes import AXIS_SWAP, LONGITUDE, MERIDIAN, Slope, distance
-from .twobridge import SchubertForm, family_schubert, is_achiral_lens
+from .twobridge import (
+    SchubertForm, family_polynomials, family_schubert, is_achiral_lens,
+)
 
 
 class SurgeryError(ValueError):
@@ -85,14 +87,14 @@ class FramedLink:
             if component in self.labels:
                 return self.labels.index(component)
             try:
-                i = int(component)
+                i = doc_integer(component)
             except ValueError:
                 raise SurgeryError(
                     f"no component labelled {component!r}; "
                     f"have {', '.join(self.labels)}"
                 ) from None
         else:
-            i = int(component)
+            i = operator.index(component)
         if not 0 <= i < self.num_components:
             raise SurgeryError(f"component index {i} out of range")
         return i
@@ -197,18 +199,19 @@ def surgered_homology(link: FramedLink, fillings) -> AbelianGroup:
 CERTIFIED = "CERTIFIED-NON-NULL-HOMOLOGOUS"
 INCONCLUSIVE = "INCONCLUSIVE-BY-HOMOLOGY"
 
-_FAMILY_LABELS = ("a", "b", "c", "d", "e", "x")
-
 # linking numbers of the six-component diagram: a five-component chain
-# a-b-c-d-e with an axis x threading a, c, e
-_FAMILY_LINKS = (
-    ("a", "b", -1),
-    ("a", "x", 1),
-    ("b", "c", 1),
-    ("c", "d", -1),
-    ("c", "x", -1),
-    ("d", "e", 1),
-    ("e", "x", 1),
+# a-b-c-d-e with an axis x threading a, c, e; independent of n, so
+# built and validated once at import
+_FAMILY_LINK = FramedLink(
+    (
+        (0, -1, 0, 0, 0, 1),
+        (-1, 0, 1, 0, 0, 0),
+        (0, 1, 0, -1, 0, -1),
+        (0, 0, -1, 0, 1, 0),
+        (0, 0, 0, 1, 0, 1),
+        (1, 0, -1, 0, 1, 0),
+    ),
+    ("a", "b", "c", "d", "e", "x"),
 )
 
 # independent of n, so checked once at import
@@ -228,11 +231,6 @@ def mn_framed_link(n: int) -> tuple[FramedLink, dict[int, Slope]]:
     """
     if n in (0, 1):
         raise SurgeryError(f"family parameter n = {n} is degenerate")
-    lk = [[0] * 6 for _ in range(6)]
-    for s, t, v in _FAMILY_LINKS:
-        i, j = _FAMILY_LABELS.index(s), _FAMILY_LABELS.index(t)
-        lk[i][j] = lk[j][i] = v
-    link = FramedLink(tuple(tuple(row) for row in lk), _FAMILY_LABELS)
     fillings = {
         "a": Slope(n, 1),
         "b": Slope(-n, 1),
@@ -240,7 +238,7 @@ def mn_framed_link(n: int) -> tuple[FramedLink, dict[int, Slope]]:
         "d": Slope(-n, 1),
         "e": Slope(n, 1),
     }
-    return link, link.resolve_fillings(fillings)
+    return _FAMILY_LINK, _FAMILY_LINK.resolve_fillings(fillings)
 
 
 def family_torsion(n: int) -> int:
@@ -250,7 +248,7 @@ def family_torsion(n: int) -> int:
 
 def family_lens_order(n: int) -> int:
     """Order of H_1 of the closed fillings: (n - 1)^2 (n^2 + 1)."""
-    return (n - 1) ** 2 * (n * n + 1)
+    return family_polynomials(n)[0]
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,6 @@ def certify_family(n: int) -> FamilyReport:
     exterior, finite cyclic fillings of equal order).
     """
     link, fills = mn_framed_link(n)
-    (axis,) = [i for i in range(link.num_components) if i not in fills]
 
     exterior = surgered_homology(link, fills)
     if exterior.free_rank != 1 or len(exterior.invariant_factors) > 1:
@@ -308,7 +305,7 @@ def certify_family(n: int) -> FamilyReport:
 
     orders = []
     for closing in (MERIDIAN, LONGITUDE):
-        h = cokernel(fill_remaining(link, fills, {axis: closing}))
+        h = cokernel(fill_remaining(link, fills, {"x": closing}))
         if not h.is_cyclic or not h.is_finite:
             raise CertificationError(
                 f"n = {n}: filling {closing} gives {h}, not finite cyclic"

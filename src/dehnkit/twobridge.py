@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
+from .matrices import doc_integer
 from .slopes import Slope
 
 
@@ -32,7 +34,7 @@ class ConwayWord:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(a) for a in self.entries)
+        entries = tuple(map(index, self.entries))
         if not entries:
             raise TangleError("a Conway word needs at least one entry")
         object.__setattr__(self, "entries", entries)
@@ -42,7 +44,7 @@ class ConwayWord:
         """Parse 'a1,a2,...' or whitespace-separated entries."""
         parts = text.replace(",", " ").split()
         try:
-            return cls(tuple(int(p) for p in parts))
+            return cls(tuple(map(doc_integer, parts)))
         except ValueError:
             raise TangleError(f"cannot parse Conway word from {text!r}") from None
 
@@ -90,21 +92,23 @@ def continued_fraction(word) -> Slope:
 class SchubertForm:
     """Normal form S(p, q) with p >= 1, 0 <= q < p, gcd(p, q) = 1.
 
-    S(1, 0) is the unknot.  For p > 1, q determines the link up to the
-    congruence q' == q or q*q' == 1 (mod p).
+    S(1, 0) is the unknot.  q determines the link up to the congruence
+    q' == q or q*q' == 1 (mod p).
     """
 
     p: int
     q: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", index(self.p))
+        object.__setattr__(self, "q", index(self.q))
         if self.p < 1:
             raise TangleError(f"Schubert p must be positive, got {self.p}")
         if not 0 <= self.q < self.p:
             raise TangleError(
                 f"Schubert q must satisfy 0 <= q < p, got S({self.p}, {self.q})"
             )
-        if self.p > 1 and gcd(self.p, self.q) != 1:
+        if gcd(self.p, self.q) != 1:
             raise TangleError(
                 f"S({self.p}, {self.q}) is not reduced: gcd = {gcd(self.p, self.q)}"
             )
@@ -143,12 +147,7 @@ class SchubertForm:
 
 def schubert_equivalent(a: SchubertForm, b: SchubertForm) -> bool:
     """Isotopy test: same p, and q' == q or q*q' == 1 (mod p)."""
-    if a.p != b.p:
-        return False
-    if a.p <= 2:
-        # S(1,0) and S(2,1) are alone in their class
-        return True
-    return b.q == a.q or (a.q * b.q) % a.p == 1
+    return a.p == b.p and (b.q == a.q or (a.q * b.q) % a.p == 1)
 
 
 def lens_equivalent(a: SchubertForm, b: SchubertForm) -> bool:
@@ -160,10 +159,8 @@ def is_achiral_lens(a: SchubertForm) -> bool:
     """Whether S(p, q) equals its own mirror, i.e. q^2 == -1 (mod p).
 
     Equivalently the lens space branched over the link admits an
-    orientation-reversing self-map.  For p <= 2 this always holds.
+    orientation-reversing self-map.  S(1, 0) and S(2, 1) are achiral.
     """
-    if a.p <= 2:
-        return True
     return (a.q * a.q + 1) % a.p == 0
 
 

@@ -492,6 +492,19 @@ GOLDEN = [
      0, "a79b3977bd9201ee164eb40ac154c7ed00b894aae807e992bd2d42ced3f88e75"),
     (("family", "3", "2"),
      2, EMPTY),
+    # text integers follow the document rule -?[0-9]+ in ASCII
+    (("cfrac", "1_0", "2"),
+     2, EMPTY),
+    (("cfrac", "\u0661\u0662"),
+     2, EMPTY),
+    (("slope", "normalize", "1_0", "3"),
+     2, EMPTY),
+    (("family", "1_0", "1_1"),
+     2, EMPTY),
+    (("surgery", "--template", "mn", "-n", "2", "--fill", "x=1_0/1"),
+     2, EMPTY),
+    (("surgery", "--template", "mn", "-n", "2", "--drill", " 0"),
+     2, EMPTY),
 ]
 
 

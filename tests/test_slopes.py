@@ -73,7 +73,8 @@ def test_parse_round_trip():
     assert Slope.parse(" -2/ 4 ".replace(" ", "")) == Slope(-1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/2/3", "3.5", "1/ /2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/2/3", "3.5", "1/ /2", "1_0/1",
+                                 "1/ 2", "+3", "\u0661\u0662"])
 def test_parse_rejects_junk(bad):
     with pytest.raises(SlopeError):
         Slope.parse(bad)
@@ -140,6 +141,13 @@ def test_non_unimodular_rejected():
         SlopeInvolution(1, 2, 2, 1)
 
 
+def test_involution_takes_integers_only():
+    with pytest.raises(TypeError):
+        SlopeInvolution(1.0, 0, 0, -1.0)
+    with pytest.raises(TypeError):
+        fixed_slopes(AXIS_SWAP, 2.5)
+
+
 def test_apply_examples():
     assert AXIS_SWAP.apply(MERIDIAN) == LONGITUDE
     assert AXIS_SWAP.apply(LONGITUDE) == MERIDIAN
@@ -163,6 +171,19 @@ def test_is_involution():
     assert SlopeInvolution(0, -1, 1, 0).is_involution()
     assert SlopeInvolution(1, 0, 0, -1).is_involution()
     assert not SlopeInvolution(1, 1, 0, 1).is_involution()
+
+
+def test_is_involution_matches_the_square():
+    plus_minus_id = (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+    checked = 0
+    for a, b, c, d in product(range(-6, 7), repeat=4):
+        if abs(a * d - b * c) != 1:
+            continue
+        m = IntegerMatrix([[a, b], [c, d]])
+        assert SlopeInvolution(a, b, c, d).is_involution() == \
+            ((m * m).entries() in plus_minus_id), (a, b, c, d)
+        checked += 1
+    assert checked == 744
 
 
 def test_involutions_apply_twice_to_identity():

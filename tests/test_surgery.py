@@ -80,10 +80,16 @@ def test_component_resolution():
     assert HOPF.index("v") == 1
     assert HOPF.index(0) == 0
     assert HOPF.index("1") == 1
-    with pytest.raises(SurgeryError):
-        HOPF.index("w")
+    for bad in ("w", " 1", "1_0", "+1", "\u0661"):
+        with pytest.raises(SurgeryError):
+            HOPF.index(bad)
     with pytest.raises(SurgeryError):
         HOPF.index(2)
+
+
+def test_component_index_takes_integers_only():
+    with pytest.raises(TypeError):
+        HOPF.index(1.7)
 
 
 def test_resolve_fillings():
@@ -163,6 +169,17 @@ def test_family_diagram_shape():
     for bad in (0, 1):
         with pytest.raises(SurgeryError):
             mn_framed_link(bad)
+
+
+def test_family_diagram_is_built_once(monkeypatch):
+    def refuse(self):
+        raise AssertionError("FramedLink constructed")
+
+    monkeypatch.setattr(FramedLink, "__post_init__", refuse)
+    link, fills = mn_framed_link(-7)
+    assert link.labels == ("a", "b", "c", "d", "e", "x")
+    assert fills[0] == Slope(-7, 1)
+    assert certify_family(3).lens_order == 40
 
 
 def test_family_presentation_rows():

@@ -58,8 +58,16 @@ def test_word_rejects_empty_and_junk():
         ConwayWord(())
     with pytest.raises(TangleError):
         ConwayWord.parse("")
-    with pytest.raises(TangleError):
-        ConwayWord.parse("2 x 2")
+    for junk in ("2 x 2", "1_0 2", "+2", "\u0661\u0662"):
+        with pytest.raises(TangleError):
+            ConwayWord.parse(junk)
+
+
+def test_word_takes_integers_only():
+    with pytest.raises(TypeError):
+        ConwayWord((2.5, 3))
+    with pytest.raises(TypeError):
+        continued_fraction([2.5, 3])
 
 
 def test_word_str():
@@ -149,6 +157,13 @@ def test_schubert_validation():
         SchubertForm(4, 2)
 
 
+def test_schubert_takes_integers_only():
+    with pytest.raises(TypeError):
+        SchubertForm(1.0, 0)
+    with pytest.raises(TypeError):
+        SchubertForm(5, 2.0)
+
+
 def test_schubert_from_slope():
     assert SchubertForm.from_slope(Slope(1, 5)) == SchubertForm(5, 1)
     assert SchubertForm.from_slope(Slope(11, 40)) == SchubertForm(40, 11)
@@ -209,6 +224,18 @@ def test_equivalence_is_an_equivalence_relation():
                 for c in forms:
                     if schubert_equivalent(b, c):
                         assert schubert_equivalent(a, c)
+
+
+def test_equivalence_is_q_or_its_inverse():
+    """S(p, q') ~ S(p, q) iff q' is q or q^-1 mod p, for all p <= 60."""
+    forms = [SchubertForm(p, q) for p in range(1, 61) for q in range(p)
+             if gcd(p, q) == 1]
+    assert SchubertForm(1, 0) in forms and SchubertForm(2, 1) in forms
+    for a in forms:
+        inverse = pow(a.q, -1, a.p)
+        for b in forms:
+            expected = a.p == b.p and b.q in (a.q, inverse)
+            assert schubert_equivalent(a, b) == expected, (a, b)
 
 
 def test_achirality_examples():
