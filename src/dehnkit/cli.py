@@ -83,43 +83,35 @@ def _cmd_cfrac(args) -> tuple[dict, str]:
     return {"word": list(word.entries), "slope": str(s)}, str(s)
 
 
-def _cmd_twobridge(args) -> tuple[dict, str]:
-    word = _parse_word(args.entries)
-    s = continued_fraction(word)
-    form = SchubertForm.from_slope(s)
+def _describe(form: SchubertForm) -> tuple[dict, str]:
+    """The payload fields and the components line of a Schubert form."""
     parity = "knot" if form.is_knot else "2-component link"
     payload = {
-        "fraction": str(s),
         "schubert": str(form),
         "p": form.p,
         "q": form.q,
         "components": form.components,
     }
-    text = "\n".join(
-        [
-            f"fraction: {s}",
-            f"schubert: {form}",
-            f"components: {form.components} ({parity})",
-        ]
-    )
-    return payload, text
+    return payload, f"components: {form.components} ({parity})"
+
+
+def _cmd_twobridge(args) -> tuple[dict, str]:
+    s = continued_fraction(_parse_word(args.entries))
+    form = SchubertForm.from_slope(s)
+    payload, components = _describe(form)
+    payload["fraction"] = str(s)
+    return payload, f"fraction: {s}\nschubert: {form}\n{components}"
 
 
 def _cmd_lens(args) -> tuple[dict, str]:
     form = SchubertForm(args.p, args.q)
-    parity = "knot" if form.is_knot else "2-component link"
     achiral = is_achiral_lens(form)
-    payload = {
-        "schubert": str(form),
-        "p": form.p,
-        "q": form.q,
-        "components": form.components,
-        "mirror": str(form.mirror()),
-        "achiral": achiral,
-    }
+    payload, components = _describe(form)
+    payload["mirror"] = str(form.mirror())
+    payload["achiral"] = achiral
     lines = [
         f"lens: {form}",
-        f"components: {form.components} ({parity})",
+        components,
         f"mirror: {form.mirror()}",
         f"achiral: {'yes' if achiral else 'no'}",
     ]

@@ -27,19 +27,28 @@ class MatrixError(ValueError):
     """Raised for malformed matrices or documents."""
 
 
+def integer(x) -> int:
+    """operator.index, except that a bool raises TypeError.
+
+    index(True) is 1, but documents reject JSON true, so the value
+    types reject True alike.
+    """
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return index(x)
+
+
 def doc_integer(x) -> int:
     """Read a document integer: an int, or a decimal string as to_doc writes.
 
     A string must match -?[0-9]+ in ASCII; int() alone would also take
     '+', underscores, surrounding whitespace and non-ASCII digits.
     """
-    if isinstance(x, bool):  # index(True) is 1, but JSON true is no integer
-        raise TypeError(f"{x!r} is not an integer")
     if isinstance(x, str):
         if not re.fullmatch("-?[0-9]+", x):
             raise ValueError(f"{x!r} is not a decimal integer")
         return int(x)
-    return index(x)
+    return integer(x)
 
 
 class IntegerMatrix:
@@ -48,7 +57,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols: int | None = None):
-        data = tuple(tuple(map(index, row)) for row in data)
+        data = tuple(tuple(map(integer, row)) for row in data)
         if data:
             cols = len(data[0]) if cols is None else cols
             for row in data:
@@ -345,8 +354,8 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        rank = index(self.free_rank)
-        factors = tuple(map(index, self.invariant_factors))
+        rank = integer(self.free_rank)
+        factors = tuple(map(integer, self.invariant_factors))
         if rank < 0:
             raise MatrixError("free rank cannot be negative")
         for d in factors:

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from operator import index
 
-from .matrices import doc_integer
+from .matrices import doc_integer, integer
 
 
 class SlopeError(ValueError):
     """Raised for input that does not describe a slope or a basis change."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Slope:
     """A slope p/q in lowest terms with q > 0, or the meridian 1/0.
 
@@ -35,7 +34,7 @@ class Slope:
     q: int
 
     def __post_init__(self):
-        p, q = self.p, self.q
+        p, q = integer(self.p), integer(self.q)
         if p == 0 and q == 0:
             raise SlopeError("0/0 does not determine a slope")
         g = gcd(p, q)
@@ -107,8 +106,8 @@ class SlopeInvolution:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, index(getattr(self, name)))
-        if abs(self.a * self.d - self.b * self.c) != 1:
+            object.__setattr__(self, name, integer(getattr(self, name)))
+        if abs(self.det) != 1:
             raise SlopeError(
                 f"matrix [[{self.a}, {self.b}], [{self.c}, {self.d}]] "
                 "is not unimodular"
@@ -158,7 +157,7 @@ def fixed_slopes(inv: SlopeInvolution, bound: int) -> list[Slope]:
     otherwise.  They come in canonical_slopes order, the meridian
     first, then by q and p.
     """
-    if index(bound) < 0:
+    if integer(bound) < 0:
         raise SlopeError("bound must be nonnegative")
     a, b, c, d = inv.a, inv.b, inv.c, inv.d
     if b == c == 0 and a == d:

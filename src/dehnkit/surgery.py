@@ -23,10 +23,11 @@ n except n = 2, that the core of the axis is not null-homologous.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .matrices import AbelianGroup, IntegerMatrix, cokernel, doc_integer
+from .matrices import (
+    AbelianGroup, IntegerMatrix, cokernel, doc_integer, integer,
+)
 from .slopes import AXIS_SWAP, LONGITUDE, MERIDIAN, Slope, distance
 from .twobridge import (
     SchubertForm, family_polynomials, family_schubert, is_achiral_lens,
@@ -56,7 +57,7 @@ class FramedLink:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        linking = tuple(tuple(map(operator.index, r)) for r in self.linking)
+        linking = tuple(tuple(map(integer, r)) for r in self.linking)
         m = len(linking)
         for i, row in enumerate(linking):
             if len(row) != m:
@@ -83,18 +84,15 @@ class FramedLink:
 
     def index(self, component) -> int:
         """Resolve a component given as label, index, or index string."""
-        if isinstance(component, str):
-            if component in self.labels:
-                return self.labels.index(component)
-            try:
-                i = doc_integer(component)
-            except ValueError:
-                raise SurgeryError(
-                    f"no component labelled {component!r}; "
-                    f"have {', '.join(self.labels)}"
-                ) from None
-        else:
-            i = operator.index(component)
+        if component in self.labels:
+            return self.labels.index(component)
+        try:
+            i = doc_integer(component)
+        except ValueError:
+            raise SurgeryError(
+                f"no component labelled {component!r}; "
+                f"have {', '.join(self.labels)}"
+            ) from None
         if not 0 <= i < self.num_components:
             raise SurgeryError(f"component index {i} out of range")
         return i
@@ -299,7 +297,7 @@ def certify_family(n: int) -> FamilyReport:
     exterior = surgered_homology(link, fills)
     if exterior.free_rank != 1 or len(exterior.invariant_factors) > 1:
         raise CertificationError(
-            f"n = {n}: exterior homology {exterior} is not Z + torsion"
+            f"exterior homology {exterior} is not Z + torsion"
         )
     torsion = exterior.invariant_factors[0] if exterior.invariant_factors else 1
 
@@ -308,12 +306,12 @@ def certify_family(n: int) -> FamilyReport:
         h = cokernel(fill_remaining(link, fills, {"x": closing}))
         if not h.is_cyclic or not h.is_finite:
             raise CertificationError(
-                f"n = {n}: filling {closing} gives {h}, not finite cyclic"
+                f"filling {closing} gives {h}, not finite cyclic"
             )
         orders.append(h.order())
     if orders[0] != orders[1]:
         raise CertificationError(
-            f"n = {n}: filling orders {orders[0]} != {orders[1]}"
+            f"filling orders {orders[0]} != {orders[1]}"
         )
     lens_order = orders[0]
 
@@ -337,7 +335,8 @@ def verify_family(n_lo: int, n_hi: int):
     Returns (reports, failures) where failures is a list of strings,
     one per violated check, each naming the check and the parameter.
     The checks compare computed invariants against the closed-form
-    polynomials and verify pairwise distinctness across the range.
+    polynomials, each failing as "CHECK n=N: got X, expected Y", and
+    verify pairwise distinctness across the range.
     """
     if n_lo > n_hi:
         raise SurgeryError(f"empty range [{n_lo}, {n_hi}]")
@@ -352,29 +351,19 @@ def verify_family(n_lo: int, n_hi: int):
             failures.append(f"certification n={n}: {exc}")
     for r in reports:
         n = r.n
-        if r.torsion != family_torsion(n):
-            failures.append(
-                f"torsion n={n}: got {r.torsion}, "
-                f"expected {family_torsion(n)}"
-            )
-        if r.lens_order != family_lens_order(n):
-            failures.append(
-                f"lens-order n={n}: got {r.lens_order}, "
-                f"expected {family_lens_order(n)}"
-            )
-        if r.lens_order != abs(n - 1) * r.torsion:
-            failures.append(
-                f"order-ratio n={n}: {r.lens_order} != |n-1| * {r.torsion}"
-            )
-        expected = INCONCLUSIVE if n == 2 else CERTIFIED
-        if r.null_homology != expected:
-            failures.append(
-                f"verdict n={n}: got {r.null_homology}, expected {expected}"
-            )
-        if r.chirality != "chiral":
-            failures.append(f"chirality n={n}: family member is not chiral")
-        if not r.distance_one_swap:
-            failures.append(f"swap n={n}: closing slopes not distance one")
+        verdict = INCONCLUSIVE if n == 2 else CERTIFIED
+        checks = (
+            ("torsion", r.torsion, family_torsion(n)),
+            ("lens-order", r.lens_order, family_lens_order(n)),
+            ("order-ratio", r.lens_order, abs(n - 1) * r.torsion),
+            ("verdict", r.null_homology, verdict),
+            ("chirality", r.chirality, "chiral"),
+            ("swap", r.distance_one_swap, True),
+        )
+        failures.extend(
+            f"{check} n={n}: got {got}, expected {expected}"
+            for check, got, expected in checks if got != expected
+        )
     seen: dict[int, int] = {}
     for r in reports:
         if r.torsion in seen:

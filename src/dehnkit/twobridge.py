@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
 
-from .matrices import doc_integer
+from .matrices import doc_integer, integer
 from .slopes import Slope
 
 
@@ -34,7 +33,7 @@ class ConwayWord:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(map(index, self.entries))
+        entries = tuple(map(integer, self.entries))
         if not entries:
             raise TangleError("a Conway word needs at least one entry")
         object.__setattr__(self, "entries", entries)
@@ -51,12 +50,6 @@ class ConwayWord:
     def mirror(self) -> "ConwayWord":
         """Mirror image: negate every twist count."""
         return ConwayWord(tuple(-a for a in self.entries))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
     def __str__(self):
         return "C(" + ", ".join(str(a) for a in self.entries) + ")"
@@ -100,8 +93,8 @@ class SchubertForm:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", index(self.p))
-        object.__setattr__(self, "q", index(self.q))
+        object.__setattr__(self, "p", integer(self.p))
+        object.__setattr__(self, "q", integer(self.q))
         if self.p < 1:
             raise TangleError(f"Schubert p must be positive, got {self.p}")
         if not 0 <= self.q < self.p:

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,6 +551,36 @@ def test_family_failure_output_matches_golden_digests(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
             (1, digest), argv
+
+
+def run_child(*args):
+    """Run a fresh interpreter with this package first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_module_entry_point_matches_golden_digests():
+    golden = {argv: (code, digest) for argv, code, digest in GOLDEN}
+    for argv in [("family", "2", "3"), ("lens", "4", "2")]:
+        assert run_child("-m", "dehnkit", *argv) == golden[argv], argv
+
+
+def test_run_exits_one_on_a_failed_sweep():
+    argv = ("family", "2", "3")
+    got = run_child(
+        "-c",
+        "from dehnkit import cli, surgery\n"
+        "surgery.family_torsion = lambda n: 0\n"
+        "cli.run()\n",
+        *argv,
+    )
+    assert got == (1, GOLDEN_FAMILY_FAILURE[argv])
 
 
 def test_unknown_subcommand_is_an_input_error(capsys):

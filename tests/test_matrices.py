@@ -85,6 +85,11 @@ def test_construction_errors():
     assert IntegerMatrix([], 3).cols == 3
 
 
+def test_matrix_rejects_booleans():
+    with pytest.raises(TypeError):
+        IntegerMatrix([[True]])
+
+
 def test_immutability():
     m = IntegerMatrix([[1]])
     with pytest.raises(AttributeError):
@@ -208,6 +213,12 @@ def test_group_validation():
 
 def test_group_takes_integers_only():
     for rank, factors in [(0, (2.7,)), (1.5, ()), (0, ("4",))]:
+        with pytest.raises(TypeError):
+            AbelianGroup(rank, factors)
+
+
+def test_group_rejects_booleans():
+    for rank, factors in [(True, ()), (0, (2, True))]:
         with pytest.raises(TypeError):
             AbelianGroup(rank, factors)
 

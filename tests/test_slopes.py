@@ -66,6 +66,19 @@ def test_zero_zero_rejected():
         Slope(0, 0)
 
 
+def test_slope_rejects_booleans():
+    with pytest.raises(TypeError):
+        Slope(True, 2)
+    with pytest.raises(TypeError):
+        Slope(1, True)
+
+
+def test_slopes_are_not_ordered():
+    # a (p, q) tuple order would put 1/2 below 1/3
+    with pytest.raises(TypeError):
+        Slope(1, 2) < Slope(1, 3)
+
+
 def test_parse_round_trip():
     for text in ["1/0", "0/1", "-3/7", "11/40"]:
         assert str(Slope.parse(text)) == text
@@ -146,6 +159,13 @@ def test_involution_takes_integers_only():
         SlopeInvolution(1.0, 0, 0, -1.0)
     with pytest.raises(TypeError):
         fixed_slopes(AXIS_SWAP, 2.5)
+
+
+def test_involution_rejects_booleans():
+    with pytest.raises(TypeError):
+        SlopeInvolution(True, 0, 0, True)
+    with pytest.raises(TypeError):
+        fixed_slopes(AXIS_SWAP, True)
 
 
 def test_apply_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from dehnkit import (
     minors_gcd_oracle,
     mn_framed_link,
     surgered_homology,
+    surgery,
     verify_family,
 )
 
@@ -90,6 +92,13 @@ def test_component_resolution():
 def test_component_index_takes_integers_only():
     with pytest.raises(TypeError):
         HOPF.index(1.7)
+
+
+def test_link_rejects_booleans():
+    with pytest.raises(TypeError):
+        HOPF.index(True)
+    with pytest.raises(TypeError):
+        FramedLink(((0, True), (True, 0)))
 
 
 def test_resolve_fillings():
@@ -372,3 +381,57 @@ def test_verify_family_rejects_bad_range():
 def test_verify_family_skips_degenerate_members():
     reports, failures = verify_family(0, 1)
     assert reports == [] and failures == []
+
+
+# n = 3: t = 20, p = 40;  n = 4: t = 51, p = 153
+@pytest.mark.parametrize("change, lines", [
+    (lambda r: {"lens_order": r.lens_order + 1}, [
+        "lens-order n=3: got 41, expected 40",
+        "order-ratio n=3: got 41, expected 40",
+        "lens-order n=4: got 154, expected 153",
+        "order-ratio n=4: got 154, expected 153",
+    ]),
+    (lambda r: {"null_homology": INCONCLUSIVE}, [
+        f"verdict n={n}: got {INCONCLUSIVE}, expected {CERTIFIED}"
+        for n in (3, 4)
+    ]),
+    (lambda r: {"chirality": "achiral"}, [
+        f"chirality n={n}: got achiral, expected chiral" for n in (3, 4)
+    ]),
+    (lambda r: {"distance_one_swap": False}, [
+        f"swap n={n}: got False, expected True" for n in (3, 4)
+    ]),
+    (lambda r: {"torsion": 5}, [
+        "torsion n=3: got 5, expected 20",
+        "order-ratio n=3: got 40, expected 10",
+        "torsion n=4: got 5, expected 51",
+        "order-ratio n=4: got 153, expected 15",
+        "distinctness n=4: hash 5 collides with n=3",
+    ]),
+], ids=["lens-order", "verdict", "chirality", "swap", "torsion"])
+def test_verify_family_failure_lines(monkeypatch, change, lines):
+    def tampered(n):
+        r = certify_family(n)
+        return dataclasses.replace(r, **change(r))
+
+    monkeypatch.setattr(surgery, "certify_family", tampered)
+    assert verify_family(3, 4)[1] == lines
+
+
+# each structure check of certify_family made to fail; the line that
+# verify_family reports names n once
+@pytest.mark.parametrize("name, fake, message", [
+    ("surgered_homology", lambda link, fills: AbelianGroup(2, ()),
+     "exterior homology Z^2 is not Z + torsion"),
+    ("fill_remaining", lambda link, fills, extra: IntegerMatrix([], 1),
+     "filling 1/0 gives Z, not finite cyclic"),
+    # Z/3 for x -> 1/0, Z/2 for x -> 0/1
+    ("fill_remaining",
+     lambda link, fills, extra: IntegerMatrix([[extra["x"].p + 2]]),
+     "filling orders 3 != 2"),
+], ids=["exterior", "not-cyclic", "orders"])
+def test_verify_family_certification_lines(monkeypatch, name, fake, message):
+    monkeypatch.setattr(surgery, name, fake)
+    reports, failures = verify_family(3, 4)
+    assert reports == []
+    assert failures == [f"certification n={n}: {message}" for n in (3, 4)]

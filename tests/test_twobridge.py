@@ -70,6 +70,19 @@ def test_word_takes_integers_only():
         continued_fraction([2.5, 3])
 
 
+def test_word_rejects_booleans():
+    with pytest.raises(TypeError):
+        ConwayWord((True, 2))
+
+
+def test_word_is_not_a_sequence():
+    word = ConwayWord((2, 3))
+    with pytest.raises(TypeError):
+        len(word)
+    with pytest.raises(TypeError):
+        iter(word)
+
+
 def test_word_str():
     assert str(ConwayWord((2, 2, -1, 2, 2))) == "C(2, 2, -1, 2, 2)"
 
@@ -162,6 +175,11 @@ def test_schubert_takes_integers_only():
         SchubertForm(1.0, 0)
     with pytest.raises(TypeError):
         SchubertForm(5, 2.0)
+
+
+def test_schubert_rejects_booleans():
+    with pytest.raises(TypeError):
+        SchubertForm(True, False)
 
 
 def test_schubert_from_slope():
