@@ -61,7 +61,6 @@ from .twobridge import (
     family_schubert,
     family_word,
     is_achiral_lens,
-    lens_equivalent,
     schubert_equivalent,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "fill_remaining",
     "fixed_slopes",
     "is_achiral_lens",
-    "lens_equivalent",
     "minors_gcd_oracle",
     "mn_framed_link",
     "schubert_equivalent",

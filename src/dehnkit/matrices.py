@@ -52,7 +52,13 @@ def doc_integer(x) -> int:
 
 
 class IntegerMatrix:
-    """An immutable rows x cols matrix of Python integers."""
+    """An immutable rows x cols matrix of Python integers.
+
+    Entries are checked (integers, no booleans, equal row lengths) only
+    where a matrix enters the library: this constructor and from_doc.
+    Matrices the library derives from checked ones are built by
+    _trusted, which checks nothing.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -75,12 +81,14 @@ class IntegerMatrix:
         raise AttributeError("IntegerMatrix is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
+    def _trusted(cls, rows, cols: int) -> "IntegerMatrix":
+        """A matrix of rows of checked ints, each cols long; no checks."""
+        m = object.__new__(cls)
+        data = tuple(map(tuple, rows))
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_data", data)
+        return m
 
     def __getitem__(self, key):
         i, j = key
@@ -89,16 +97,8 @@ class IntegerMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._data)
-
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            [self.column(j) for j in range(self.cols)], self.rows
-        )
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -116,7 +116,7 @@ class IntegerMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        return IntegerMatrix(
+        return IntegerMatrix._trusted(
             [
                 [
                     sum(self._data[i][k] * other._data[k][j]
@@ -130,7 +130,7 @@ class IntegerMatrix:
 
     def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
         row_idx, col_idx = tuple(row_idx), tuple(col_idx)
-        return IntegerMatrix(
+        return IntegerMatrix._trusted(
             [[self._data[i][j] for j in col_idx] for i in row_idx],
             len(col_idx),
         )
@@ -269,13 +269,20 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     divisibility check look only at the top-left block.
 
     Pivots are chosen as the smallest nonzero entry in absolute value of
-    the remaining submatrix, which keeps coefficient growth tame.  Each
-    pivot is then used to clear its row and column; any nonzero
-    remainder becomes the next, strictly smaller pivot candidate, so the
-    inner loop terminates.  Once the cross is clear, an entry of the
-    submatrix not divisible by the pivot (if any) is pulled into the
-    pivot row by a row addition and the reduction restarts; this is the
-    standard trick that forces the divisibility chain.
+    the remaining submatrix, which keeps coefficient growth tame; of
+    equally small entries the first in row-major order wins.  Each pivot
+    is then used to clear its row and column; any nonzero remainder
+    becomes the next, strictly smaller pivot candidate, so the inner
+    loop terminates.  Once the cross is clear, an entry of the submatrix
+    not divisible by the pivot (if any) is pulled into the pivot row by
+    a row addition and the reduction restarts; this is the standard
+    trick that forces the divisibility chain.
+
+    No nonzero entry is smaller than a unit, so the pivot scan stops at
+    the first entry of absolute value 1.  A full scan keeps the first
+    smallest entry and would pick that same one, so the pivot sequence,
+    and with it u, d and v, does not change.  A unit divides every
+    entry, so after a unit pivot the divisibility check is skipped.
     """
     nr, nc = m.rows, m.cols
     a = [list(row) + [int(i == j) for j in range(nr)]
@@ -284,15 +291,21 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
 
     for t in range(min(nr, nc)):
         while True:
-            # smallest |nonzero| entry of the trailing submatrix
+            # first smallest |nonzero| entry of the trailing submatrix,
+            # row-major; no entry beats a unit, so stop at the first one
             pi = pj = -1
             best = 0
             for i in range(t, nr):
+                row = a[i]
                 for j in range(t, nc):
-                    x = a[i][j]
+                    x = row[j]
                     if x != 0 and (best == 0 or abs(x) < best):
                         best = abs(x)
                         pi, pj = i, j
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if best == 0:
                 break
             if pi != t:
@@ -319,6 +332,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             if dirty:
                 # leftover remainders are smaller than |pivot|; rerun
                 continue
+            if best == 1:
+                # a unit divides everything
+                break
             offender = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
@@ -335,9 +351,9 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             a[t] = [-x for x in a[t]]
 
     return SmithForm(
-        IntegerMatrix([row[nc:] for row in a[:nr]], nr),
-        IntegerMatrix([row[:nc] for row in a[:nr]], nc),
-        IntegerMatrix(a[nr:], nc),
+        IntegerMatrix._trusted([row[nc:] for row in a[:nr]], nr),
+        IntegerMatrix._trusted([row[:nc] for row in a[:nr]], nc),
+        IntegerMatrix._trusted(a[nr:], nc),
     )
 
 
@@ -366,10 +382,6 @@ class AbelianGroup:
                 raise MatrixError(f"broken divisibility chain {factors}")
         object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     @property
     def is_finite(self) -> bool:

@@ -64,14 +64,6 @@ class Slope:
     def __neg__(self):
         return Slope(-self.p, self.q)
 
-    @property
-    def is_meridian(self) -> bool:
-        return self.q == 0
-
-    @property
-    def is_integral(self) -> bool:
-        return self.q == 1
-
 
 MERIDIAN = Slope(1, 0)
 LONGITUDE = Slope(0, 1)

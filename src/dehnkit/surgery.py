@@ -165,7 +165,7 @@ def build_presentation(link: FramedLink, fillings) -> IntegerMatrix:
         row = [s.q * link.linking[i][j] for j in range(m)]
         row[i] += s.p
         rows.append(row)
-    return IntegerMatrix(rows, m)
+    return IntegerMatrix._trusted(rows, m)
 
 
 def fill_remaining(link: FramedLink, fillings, extra) -> IntegerMatrix:
@@ -182,7 +182,7 @@ def fill_remaining(link: FramedLink, fillings, extra) -> IntegerMatrix:
         raise SurgeryError(f"already filled: {names}")
     rows = build_presentation(link, base).entries()
     rows += build_presentation(link, added).entries()
-    return IntegerMatrix(rows, link.num_components)
+    return IntegerMatrix._trusted(rows, link.num_components)
 
 
 def surgered_homology(link: FramedLink, fillings) -> AbelianGroup:

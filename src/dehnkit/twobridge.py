@@ -143,11 +143,6 @@ def schubert_equivalent(a: SchubertForm, b: SchubertForm) -> bool:
     return a.p == b.p and (b.q == a.q or (a.q * b.q) % a.p == 1)
 
 
-def lens_equivalent(a: SchubertForm, b: SchubertForm) -> bool:
-    """Unoriented equivalence: isotopic to b or to the mirror of b."""
-    return schubert_equivalent(a, b) or schubert_equivalent(a, b.mirror())
-
-
 def is_achiral_lens(a: SchubertForm) -> bool:
     """Whether S(p, q) equals its own mirror, i.e. q^2 == -1 (mod p).
 

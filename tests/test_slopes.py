@@ -99,11 +99,6 @@ def test_negation():
     assert -LONGITUDE == LONGITUDE
 
 
-def test_flags():
-    assert MERIDIAN.is_meridian and not LONGITUDE.is_meridian
-    assert Slope(5, 1).is_integral and not Slope(5, 2).is_integral
-
-
 def test_canonical_slopes_bound_one():
     assert list(canonical_slopes(1)) == [
         Slope(1, 0), Slope(-1, 1), Slope(0, 1), Slope(1, 1),

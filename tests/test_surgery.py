@@ -20,6 +20,7 @@ from dehnkit import (
     fill_remaining,
     minors_gcd_oracle,
     mn_framed_link,
+    smith_normal_form,
     surgered_homology,
     surgery,
     verify_family,
@@ -189,6 +190,27 @@ def test_family_diagram_is_built_once(monkeypatch):
     assert link.labels == ("a", "b", "c", "d", "e", "x")
     assert fills[0] == Slope(-7, 1)
     assert certify_family(3).lens_order == 40
+
+
+def test_library_matrices_skip_the_constructor(monkeypatch):
+    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    link, fills = mn_framed_link(3)
+
+    def refuse(self, *args):
+        raise AssertionError("IntegerMatrix constructor called")
+
+    monkeypatch.setattr(IntegerMatrix, "__init__", refuse)
+    form = smith_normal_form(m)
+    assert form.diagonal == (2, 6, 12)
+    assert form.u * m * form.v == form.d
+    assert cokernel(m) == AbelianGroup(0, (2, 6, 12))
+    exterior = build_presentation(link, fills)
+    assert exterior.rows == 5 and cokernel(exterior) == AbelianGroup(1, (20,))
+    closed = fill_remaining(link, fills, {"x": "1/0"})
+    assert closed.rows == 6 and cokernel(closed) == AbelianGroup(0, (40,))
+    assert certify_family(3).lens_order == 40
+    reports, failures = verify_family(2, 5)
+    assert len(reports) == 4 and failures == []
 
 
 def test_family_presentation_rows():

@@ -15,7 +15,6 @@ from dehnkit import (
     family_schubert,
     family_word,
     is_achiral_lens,
-    lens_equivalent,
     schubert_equivalent,
 )
 
@@ -220,6 +219,8 @@ def test_equivalence_examples():
     assert schubert_equivalent(SchubertForm(5, 1), SchubertForm(5, 1))
     assert not schubert_equivalent(SchubertForm(5, 1), SchubertForm(7, 1))
     assert not schubert_equivalent(SchubertForm(5, 1), SchubertForm(5, 2))
+    # S(40, 29) is the mirror of S(40, 11), not isotopic to it
+    assert not schubert_equivalent(SchubertForm(40, 11), SchubertForm(40, 29))
 
 
 def test_equivalence_is_an_equivalence_relation():
@@ -271,12 +272,6 @@ def test_achirality_agrees_with_brute_force():
                 continue
             a = SchubertForm(p, q)
             assert is_achiral_lens(a) == schubert_equivalent(a, a.mirror())
-
-
-def test_lens_equivalent_sees_through_mirrors():
-    assert lens_equivalent(SchubertForm(40, 11), SchubertForm(40, 29))
-    assert not schubert_equivalent(SchubertForm(40, 11), SchubertForm(40, 29))
-    assert not lens_equivalent(SchubertForm(7, 1), SchubertForm(7, 2))
 
 
 # ------------------------------------------------------------- the family
