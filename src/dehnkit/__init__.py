@@ -45,7 +45,6 @@ from .surgery import (
     SurgeryError,
     build_presentation,
     certify_family,
-    family_lens_order,
     family_torsion,
     fill_remaining,
     mn_framed_link,
@@ -92,7 +91,6 @@ __all__ = [
     "cokernel",
     "continued_fraction",
     "distance",
-    "family_lens_order",
     "family_polynomials",
     "family_schubert",
     "family_torsion",

@@ -39,10 +39,7 @@ def _read_doc(path: str) -> dict:
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in rows)) if rows else len(header[j])
-        for j in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     for r in rows:
         lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
@@ -107,12 +104,12 @@ def _cmd_lens(args) -> tuple[dict, str]:
     form = SchubertForm(args.p, args.q)
     achiral = is_achiral_lens(form)
     payload, components = _describe(form)
-    payload["mirror"] = str(form.mirror())
+    payload["mirror"] = mirror = str(form.mirror())
     payload["achiral"] = achiral
     lines = [
         f"lens: {form}",
         components,
-        f"mirror: {form.mirror()}",
+        f"mirror: {mirror}",
         f"achiral: {'yes' if achiral else 'no'}",
     ]
     if args.compare:
@@ -144,12 +141,7 @@ def _cmd_snf(args) -> tuple[dict, str]:
         "d": snf.d,
         "v": snf.v,
     }
-    text = "\n".join(
-        [
-            "diagonal: " + " ".join(str(d) for d in snf.diagonal),
-            f"cokernel: {group}",
-        ]
-    )
+    text = f"diagonal: {' '.join(payload['diagonal'])}\ncokernel: {group}"
     return payload, text
 
 

@@ -54,25 +54,27 @@ def doc_integer(x) -> int:
 class IntegerMatrix:
     """An immutable rows x cols matrix of Python integers.
 
-    Entries are checked (integers, no booleans, equal row lengths) only
-    where a matrix enters the library: this constructor and from_doc.
-    Matrices the library derives from checked ones are built by
-    _trusted, which checks nothing.
+    Entries and cols are checked (integers, no booleans, equal row
+    lengths, cols >= 0) only where a matrix enters the library: this
+    constructor and from_doc.  Matrices the library derives from
+    checked ones are built by _trusted, which checks nothing.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data, cols: int | None = None):
         data = tuple(tuple(map(integer, row)) for row in data)
-        if data:
-            cols = len(data[0]) if cols is None else cols
-            for row in data:
-                if len(row) != cols:
-                    raise MatrixError(
-                        f"a row has {len(row)} entries, not {cols}"
-                    )
-        elif cols is None:
-            raise MatrixError("empty matrix needs an explicit column count")
+        if cols is None:
+            if not data:
+                raise MatrixError(
+                    "empty matrix needs an explicit column count")
+            cols = len(data[0])
+        cols = integer(cols)
+        if cols < 0:
+            raise MatrixError(f"column count {cols} is negative")
+        for row in data:
+            if len(row) != cols:
+                raise MatrixError(f"a row has {len(row)} entries, not {cols}")
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_data", data)
@@ -93,9 +95,6 @@ class IntegerMatrix:
     def __getitem__(self, key):
         i, j = key
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
 
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
@@ -382,10 +381,6 @@ class AbelianGroup:
                 raise MatrixError(f"broken divisibility chain {factors}")
         object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     @property
     def is_cyclic(self) -> bool:

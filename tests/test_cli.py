@@ -496,6 +496,11 @@ GOLDEN = [
      0, "a79b3977bd9201ee164eb40ac154c7ed00b894aae807e992bd2d42ced3f88e75"),
     (("family", "3", "2"),
      2, EMPTY),
+    # a range holding only the degenerate n = 0, 1: an empty table
+    (("family", "0", "1"),
+     0, "a90478789215f47f36be7a462c3f473b1aa24ce4ae55ded04cf96095febc5b2b"),
+    (("family", "--json", "0", "1"),
+     0, "9a284a2eed384218f144c339abdd14063fa6677af1519dcb8f7b193b50aed563"),
     # text integers follow the document rule -?[0-9]+ in ASCII
     (("cfrac", "1_0", "2"),
      2, EMPTY),

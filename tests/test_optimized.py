@@ -4,10 +4,12 @@ Each test starts a fresh interpreter with -O, so library code runs
 without its asserts; the test's own asserts stay in this process.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import dehnkit
 
@@ -50,3 +52,22 @@ def test_acceptance_suite_passes_without_library_asserts():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " passed" in proc.stdout
+
+
+def test_all_lists_every_public_name():
+    public = {
+        name for name, value in vars(dehnkit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(dehnkit.__all__) == sorted(public)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so checks must be real code
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "dehnkit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
