@@ -241,22 +241,11 @@ class SmithForm:
     @property
     def cokernel(self) -> "AbelianGroup":
         """The group Z^cols / (row span of m); see cokernel()."""
+        diagonal = self.diagonal
         return AbelianGroup(
-            self.d.cols - self.rank, tuple(x for x in self.diagonal if x >= 2)
+            self.d.cols - len(diagonal) + diagonal.count(0),
+            tuple(x for x in diagonal if x >= 2),
         )
-
-
-def _add_row(m, dst, src, c):
-    """row dst += c * row src"""
-    rd, rs = m[dst], m[src]
-    for j in range(len(rd)):
-        rd[j] += c * rs[j]
-
-
-def _add_col(m, dst, src, c):
-    """col dst += c * col src"""
-    for row in m:
-        row[dst] += c * row[src]
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithForm:
@@ -282,11 +271,16 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     smallest entry and would pick that same one, so the pivot sequence,
     and with it u, d and v, does not change.  A unit divides every
     entry, so after a unit pivot the divisibility check is skipped.
+    A column operation skips the rows whose entry in the pivot column is
+    0, where it would add 0; this too leaves the pivot sequence as it is.
     """
     nr, nc = m.rows, m.cols
-    a = [list(row) + [int(i == j) for j in range(nr)]
-         for i, row in enumerate(m.entries())]
-    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
+    a = [list(row) + [0] * nr for row in m.entries()]
+    a += [[0] * nc for _ in range(nc)]
+    for i in range(nr):
+        a[i][nc + i] = 1
+    for j in range(nc):
+        a[nr + j][j] = 1
 
     for t in range(min(nr, nc)):
         while True:
@@ -312,21 +306,25 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-            pivot = a[t][t]
+            top = a[t]
+            pivot = top[t]
             dirty = False
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // pivot
-                    if q != 0:
-                        _add_row(a, i, t, -q)
-                    if a[i][t] != 0:
+                row = a[i]
+                if row[t]:
+                    q = row[t] // pivot
+                    if q:
+                        row = a[i] = [x - q * y for x, y in zip(row, top)]
+                    if row[t]:
                         dirty = True
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // pivot
-                    if q != 0:
-                        _add_col(a, j, t, -q)
-                    if a[t][j] != 0:
+                if top[j]:
+                    q = top[j] // pivot
+                    if q:
+                        for row in a:
+                            if row[t]:
+                                row[j] -= q * row[t]
+                    if top[j]:
                         dirty = True
             if dirty:
                 # leftover remainders are smaller than |pivot|; rerun
@@ -334,18 +332,12 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             if best == 1:
                 # a unit divides everything
                 break
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((row for row in a[t + 1:nr]
+                             if any(x % pivot for x in row[t + 1:nc])), None)
             if offender is None:
                 break
             # pull the bad row up; clearing it will shrink the pivot
-            _add_row(a, t, offender, 1)
+            a[t] = [x + y for x, y in zip(top, offender)]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 

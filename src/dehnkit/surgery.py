@@ -72,6 +72,9 @@ class FramedLink:
                     raise SurgeryError(
                         f"linking matrix is not symmetric at ({i}, {j})"
                     )
+        if isinstance(self.labels, str):
+            raise TypeError(f"labels {self.labels!r} is a string, not one "
+                            "string per component")
         labels = tuple(self.labels) or tuple(f"K{i + 1}" for i in range(m))
         for label in labels:
             if not isinstance(label, str):
@@ -104,11 +107,13 @@ class FramedLink:
         """Normalize a mapping of component -> slope.
 
         Keys may be labels or indices, values Slope objects or 'p/q'
-        strings.  Two keys naming the same component is an error.
+        strings.  Two keys naming the same component is an error.  Labels
+        are strings, so an int key in range is taken as the index it is.
         """
+        m = self.num_components
         out: dict[int, Slope] = {}
         for key, value in fillings.items():
-            i = self.index(key)
+            i = key if type(key) is int and 0 <= key < m else self.index(key)
             if i in out:
                 raise SurgeryError(
                     f"component {self.labels[i]} filled twice"
@@ -161,14 +166,13 @@ def build_presentation(link: FramedLink, fillings) -> IntegerMatrix:
     diagonal of framings.
     """
     fills = link.resolve_fillings(fillings)
-    m = link.num_components
     rows = []
     for i in sorted(fills):
         s = fills[i]
-        row = [s.q * link.linking[i][j] for j in range(m)]
+        row = [s.q * x for x in link.linking[i]]
         row[i] += s.p
         rows.append(row)
-    return IntegerMatrix._trusted(rows, m)
+    return IntegerMatrix._trusted(rows, link.num_components)
 
 
 def fill_remaining(link: FramedLink, fillings, extra) -> IntegerMatrix:

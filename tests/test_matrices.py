@@ -5,11 +5,16 @@ from math import prod
 import pytest
 
 from dehnkit import (
+    LONGITUDE,
+    MERIDIAN,
     AbelianGroup,
     IntegerMatrix,
     MatrixError,
+    build_presentation,
     cokernel,
+    fill_remaining,
     minors_gcd_oracle,
+    mn_framed_link,
     smith_normal_form,
 )
 
@@ -214,6 +219,42 @@ def test_snf_transforms_match_golden_digest():
         for part in (form.u, form.d, form.v):
             h.update(repr((part.rows, part.cols, part.entries())).encode())
     assert h.hexdigest() == PIVOT_SEQUENCE_DIGEST
+
+
+def hard_snf_inputs():
+    """The three family presentations at six n, then four dense matrices.
+
+    n = -10^50 - 125 has a longitude closing that reruns its pivot step
+    85 times and grows transforms of about 12,000 bits; the dense
+    16..24 square matrices exercise coefficient growth.
+    """
+    for n in (2, 3, -7, 10 ** 6 + 3, 10 ** 50 + 7, -10 ** 50 - 125):
+        link, fills = mn_framed_link(n)
+        yield build_presentation(link, fills)
+        for closing in (MERIDIAN, LONGITUDE):
+            yield fill_remaining(link, fills, {"x": closing})
+    rng = random.Random(1979)
+    for _ in range(4):
+        k = rng.randint(16, 24)
+        yield IntegerMatrix(
+            [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)])
+
+
+# sha256 of u, d and v over hard_snf_inputs(), recorded before the
+# elimination loop was rewritten; pins the pivot sequence where
+# transforms grow large
+HARD_INPUTS_DIGEST = (
+    "53c4bf169c12972854498614d722b442e23b4093b1d03ce31888ef96ccdb2ad2"
+)
+
+
+def test_snf_transforms_of_hard_inputs_match_golden_digest():
+    h = hashlib.sha256()
+    for m in hard_snf_inputs():
+        form = smith_normal_form(m)
+        for part in (form.u, form.d, form.v):
+            h.update(repr((part.rows, part.cols, part.entries())).encode())
+    assert h.hexdigest() == HARD_INPUTS_DIGEST
 
 
 def test_cokernel_invariant_under_row_operations():

@@ -18,6 +18,7 @@ from dehnkit import (
     family_polynomials,
     family_torsion,
     fill_remaining,
+    matrices,
     minors_gcd_oracle,
     mn_framed_link,
     smith_normal_form,
@@ -110,11 +111,33 @@ def test_link_labels_are_strings():
         FramedLink(((0, 1), (1, 0)), ("a", None))
 
 
+def test_link_labels_are_not_one_string():
+    # a string of the right length would be split into one-letter labels
+    with pytest.raises(TypeError):
+        FramedLink(((0, 1), (1, 0)), "uv")
+    with pytest.raises(TypeError):
+        FramedLink(((0,),), "u")
+
+
 def test_resolve_fillings():
     fills = HOPF.resolve_fillings({"u": "3/2", 1: Slope(1, 0)})
     assert fills == {0: Slope(3, 2), 1: Slope(1, 0)}
     with pytest.raises(SurgeryError):
         HOPF.resolve_fillings({"u": "1/1", 0: "2/1"})
+
+
+@pytest.mark.parametrize("fillings, error, message", [
+    ({True: "1/1"}, TypeError, "True is not an integer"),
+    ({6: "1/1"}, SurgeryError, "component index 6 out of range"),
+    ({-1: "1/1"}, SurgeryError, "component index -1 out of range"),
+    ({"b": "1/1", 1: "2/1"}, SurgeryError, "component b filled twice"),
+    ({1: "1/1", "b": "2/1"}, SurgeryError, "component b filled twice"),
+])
+def test_resolve_fillings_int_key_errors(fillings, error, message):
+    link = mn_framed_link(3)[0]
+    with pytest.raises(error) as info:
+        link.resolve_fillings(fillings)
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ----------------------------------------------------------- presentations
@@ -198,6 +221,26 @@ def test_family_diagram_is_built_once(monkeypatch):
     assert link.labels == ("a", "b", "c", "d", "e", "x")
     assert fills[0] == Slope(-7, 1)
     assert certify_family(3).lens_order == 40
+
+
+@pytest.mark.parametrize("n", [3, -10 ** 50])
+def test_certify_family_call_counts(monkeypatch, n):
+    # bench/test_bench.py pins both counts; they move only with the bench
+    calls = {"snf": 0, "resolve": 0}
+    snf, resolve = matrices.smith_normal_form, FramedLink.resolve_fillings
+
+    def counting_snf(m):
+        calls["snf"] += 1
+        return snf(m)
+
+    def counting_resolve(self, fillings):
+        calls["resolve"] += 1
+        return resolve(self, fillings)
+
+    monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(FramedLink, "resolve_fillings", counting_resolve)
+    certify_family(n)
+    assert calls == {"snf": 3, "resolve": 10}
 
 
 def test_library_matrices_skip_the_constructor(monkeypatch):
