@@ -45,6 +45,9 @@ print("-- arbitrary precision is free --")
 big = IntegerMatrix([[10 ** 40, 1], [1, 10 ** 40]])
 print(f"  det of a 2x2 with 10^40 entries: {big.det()}")
 print(f"  diagonal: {smith_normal_form(big).diagonal}")
+group_only = smith_normal_form(big, transforms=False)
+print(f"  without transforms: {group_only.diagonal}")
+assert group_only.u * big * group_only.v == group_only.d
 
 print()
 print("-- documents --")

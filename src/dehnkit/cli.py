@@ -131,16 +131,16 @@ def _cmd_lens(args) -> tuple[dict, str]:
 
 def _cmd_snf(args) -> tuple[dict, str]:
     m = IntegerMatrix.from_doc(_read_doc(args.input))
-    snf = smith_normal_form(m)
+    # text mode prints only the diagonal and the group; --json adds u, v
+    snf = smith_normal_form(m, transforms=args.json)
     group = snf.cokernel
     payload = {
         "diagonal": [str(d) for d in snf.diagonal],
         "rank": snf.rank,
         "cokernel": str(group),
-        "u": snf.u,
-        "d": snf.d,
-        "v": snf.v,
     }
+    if args.json:
+        payload.update(u=snf.u, d=snf.d, v=snf.v)
     text = f"diagonal: {' '.join(payload['diagonal'])}\ncokernel: {group}"
     return payload, text
 

@@ -7,10 +7,12 @@ is meant to be a certificate, not an approximation.
 
 The central computation is the Smith normal form D = U * M * V with
 unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
-diagonal, found by one elimination on the block matrix [[M, I], [I, 0]].
-From it the cokernel Z^cols / rowspan(M) is read off as an abelian
-group.  A second, independent route to the same invariant factors
-(gcds of k x k minors) is provided for cross-checking and is
+diagonal.  One elimination loop finds it in two modes: on the block
+matrix [[M, I], [I, 0]] for U, D and V, or on a bare copy of M for D
+alone, with U and V built only if they are read.  From D the cokernel
+Z^cols / rowspan(M) is read off as an abelian group, which needs the
+second mode only.  A second, independent route to the same invariant
+factors (gcds of k x k minors) is provided for cross-checking and is
 deliberately not implemented in terms of the first.
 """
 
@@ -221,12 +223,25 @@ class SmithForm:
     """The decomposition d = u * m * v of a matrix m.
 
     u and v are unimodular, d is diagonal with nonnegative entries and
-    each diagonal entry divides the next.
+    each diagonal entry divides the next.  A form made by
+    smith_normal_form(m, transforms=False) holds m in place of u and v
+    and builds both on the first read of either (see __getattr__).
     """
 
     u: IntegerMatrix
     d: IntegerMatrix
     v: IntegerMatrix
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: u and v of a
+        # group-only form, until this first read builds them; two
+        # threads reading at once may both build, and build equal ones
+        if name not in ("u", "v") or "_m" not in self.__dict__:
+            raise AttributeError(name)
+        u, _, v = _full_smith(self._m)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        return u if name == "u" else v
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -248,13 +263,16 @@ class SmithForm:
         )
 
 
-def smith_normal_form(m: IntegerMatrix) -> SmithForm:
-    """Smith normal form with explicit unimodular transforms.
+def _eliminate(a: list[list[int]], nr: int, nc: int) -> None:
+    """Bring the top-left nr x nc block of a to Smith form, in place.
 
-    One elimination runs on the block matrix [[m, I], [I, 0]]: row
-    operations act on whole top rows and column operations on whole
-    left columns, so it ends as [[d, u], [v, 0]].  Pivot search and the
-    divisibility check look only at the top-left block.
+    Pivot search and the divisibility check read only that block; row
+    operations act on whole rows of a and column operations on whole
+    columns, so whatever a carries right of and below the block is
+    transformed along with it.  _full_smith calls this on the block
+    matrix [[m, I], [I, 0]] for u, d and v, smith_normal_form with
+    transforms=False on a bare copy of m for d alone; the block decides
+    every step, so both runs take the same pivots and reach the same d.
 
     Pivots are chosen as the smallest nonzero entry in absolute value of
     the remaining submatrix, which keeps coefficient growth tame; of
@@ -274,14 +292,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     A column operation skips the rows whose entry in the pivot column is
     0, where it would add 0; this too leaves the pivot sequence as it is.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) + [0] * nr for row in m.entries()]
-    a += [[0] * nc for _ in range(nc)]
-    for i in range(nr):
-        a[i][nc + i] = 1
-    for j in range(nc):
-        a[nr + j][j] = 1
-
     for t in range(min(nr, nc)):
         while True:
             # first smallest |nonzero| entry of the trailing submatrix,
@@ -341,11 +351,46 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
 
-    return SmithForm(
+
+def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
+    """(u, d, v) of m from one elimination on [[m, I], [I, 0]].
+
+    The block ends as [[d, u], [v, 0]].
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(row) + [0] * nr for row in m.entries()]
+    a += [[0] * nc for _ in range(nc)]
+    for i in range(nr):
+        a[i][nc + i] = 1
+    for j in range(nc):
+        a[nr + j][j] = 1
+    _eliminate(a, nr, nc)
+    return (
         IntegerMatrix._trusted([row[nc:] for row in a[:nr]], nr),
         IntegerMatrix._trusted([row[:nc] for row in a[:nr]], nc),
         IntegerMatrix._trusted(a[nr:], nc),
     )
+
+
+def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
+    """Smith normal form d = u * m * v with explicit unimodular transforms.
+
+    With transforms (the default) one elimination runs on the block
+    matrix [[m, I], [I, 0]] and yields u, d and v together.  With
+    transforms=False it runs on a bare copy of m, which finds the same
+    d at a fraction of the cost, since u and v are where the
+    coefficients grow; the form keeps m and builds u and v, equal to
+    the eager ones, by the block elimination on the first read of
+    either.  See _eliminate for the pivot rule.
+    """
+    if transforms:
+        return SmithForm(*_full_smith(m))
+    a = [list(row) for row in m.entries()]
+    _eliminate(a, m.rows, m.cols)
+    form = object.__new__(SmithForm)
+    object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))
+    object.__setattr__(form, "_m", m)
+    return form
 
 
 @dataclass(frozen=True)
@@ -399,9 +444,11 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
 
     Columns are generators, rows are relations.  Computed from the
     Smith diagonal: zero diagonal entries and missing pivots contribute
-    free summands, entries >= 2 contribute finite cyclic summands.
+    free summands, entries >= 2 contribute finite cyclic summands.  The
+    group needs no transforms, so the elimination runs on m alone
+    (smith_normal_form with transforms=False).
     """
-    return smith_normal_form(m).cokernel
+    return smith_normal_form(m, transforms=False).cokernel
 
 
 def minors_gcd_oracle(m: IntegerMatrix) -> AbelianGroup:

@@ -200,9 +200,9 @@ def test_snf_command_runs_one_smith_normal_form(tmp_path, capsys, monkeypatch):
     calls = []
     real = matrices.smith_normal_form
 
-    def counting(m):
+    def counting(m, **kwargs):
         calls.append(m)
-        return real(m)
+        return real(m, **kwargs)
 
     monkeypatch.setattr(matrices, "smith_normal_form", counting)
     monkeypatch.setattr(cli, "smith_normal_form", counting)
@@ -220,9 +220,10 @@ def test_snf_text_mode_does_not_spell_transforms(tmp_path, capsys,
     path.write_text(matrix_doc([[2, 0], [0, 3]]))
 
     def refuse(m):
-        raise RuntimeError("text mode spelled a matrix")
+        raise RuntimeError("text mode spelled or built a transform")
 
     monkeypatch.setattr(IntegerMatrix, "to_doc", refuse)
+    monkeypatch.setattr(matrices, "_full_smith", refuse)
     code, out, _ = run(capsys, "snf", "--input", str(path))
     assert code == 0
     assert out == "diagonal: 1 6\ncokernel: Z/6\n"

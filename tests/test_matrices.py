@@ -15,6 +15,7 @@ from dehnkit import (
     fill_remaining,
     minors_gcd_oracle,
     mn_framed_link,
+    matrices,
     smith_normal_form,
 )
 
@@ -249,12 +250,59 @@ HARD_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_hard_inputs_match_golden_digest():
-    h = hashlib.sha256()
-    for m in hard_snf_inputs():
-        form = smith_normal_form(m)
-        for part in (form.u, form.d, form.v):
-            h.update(repr((part.rows, part.cols, part.entries())).encode())
-    assert h.hexdigest() == HARD_INPUTS_DIGEST
+    # eager, then deferred: u and v built on first read are the same
+    for transforms in (True, False):
+        h = hashlib.sha256()
+        for m in hard_snf_inputs():
+            form = smith_normal_form(m, transforms=transforms)
+            for part in (form.u, form.d, form.v):
+                h.update(repr((part.rows, part.cols, part.entries())).encode())
+        assert h.hexdigest() == HARD_INPUTS_DIGEST, transforms
+
+
+def group_only_inputs():
+    """Seeded matrices past the 7 x 7 cap of minors_gcd_oracle.
+
+    Square up to 24 x 24, rectangular both ways, rank-deficient
+    products of a tall and a wide factor, and matrices with no rows or
+    no columns.
+    """
+    rng = random.Random(20261019)
+
+    def rand(r, c, bound=9):
+        return [[rng.randint(-bound, bound) for _ in range(c)]
+                for _ in range(r)]
+
+    for k in (8, 12, 16, 20, 24):
+        yield IntegerMatrix(rand(k, k), k)
+    for r, c in ((9, 14), (14, 9), (3, 20), (20, 3)):
+        yield IntegerMatrix(rand(r, c), c)
+    for k, rank in ((10, 4), (16, 9), (12, 0)):
+        yield (IntegerMatrix(rand(k, rank, 3), rank)
+               * IntegerMatrix(rand(rank, k, 3), k))
+    for k in (1, 5, 12):
+        yield IntegerMatrix([], k)
+        yield IntegerMatrix([[]] * k, 0)
+
+
+def test_group_only_form_defers_the_eager_transforms(monkeypatch):
+    inputs = list(group_only_inputs())
+
+    def refuse(m):
+        raise AssertionError("group-only mode built transforms")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(matrices, "_full_smith", refuse)
+        forms = [smith_normal_form(m, transforms=False) for m in inputs]
+        groups = [cokernel(m) for m in inputs]
+    deficits = set()
+    for m, form, group in zip(inputs, forms, groups):
+        eager = smith_normal_form(m)
+        assert form.d == eager.d and group == eager.cokernel
+        assert (form.u, form.v) == (eager.u, eager.v)
+        assert form.u * m * form.v == form.d
+        deficits.add(min(m.rows, m.cols) - eager.rank)
+    assert max(deficits) > 0, "no rank-deficient input"
 
 
 def test_cokernel_invariant_under_row_operations():

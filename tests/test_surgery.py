@@ -227,11 +227,13 @@ def test_family_diagram_is_built_once(monkeypatch):
 def test_certify_family_call_counts(monkeypatch, n):
     # bench/test_bench.py pins both counts; they move only with the bench
     calls = {"snf": 0, "resolve": 0}
+    forms = []
     snf, resolve = matrices.smith_normal_form, FramedLink.resolve_fillings
 
-    def counting_snf(m):
+    def counting_snf(m, **kwargs):
         calls["snf"] += 1
-        return snf(m)
+        forms.append((m, snf(m, **kwargs)))
+        return forms[-1][1]
 
     def counting_resolve(self, fillings):
         calls["resolve"] += 1
@@ -240,6 +242,10 @@ def test_certify_family_call_counts(monkeypatch, n):
     monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
     monkeypatch.setattr(FramedLink, "resolve_fillings", counting_resolve)
     certify_family(n)
+    assert calls == {"snf": 3, "resolve": 10}
+    # the bench reads u and v of each form; building them is no new SNF
+    for m, form in forms:
+        assert form.u * m * form.v == form.d
     assert calls == {"snf": 3, "resolve": 10}
 
 
