@@ -130,6 +130,7 @@ def canonical_slopes(bound: int):
     The meridian 1/0 comes first, then slopes ordered by q and p.  For
     bound 1 this is exactly 1/0, -1/1, 0/1, 1/1.
     """
+    bound = integer(bound)
     if bound < 0:
         raise SlopeError("bound must be nonnegative")
     if bound >= 1:

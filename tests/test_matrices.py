@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from math import prod
 
@@ -111,6 +113,17 @@ def test_immutability():
     m = IntegerMatrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 2
+
+
+def test_matrix_survives_copy_and_pickle():
+    m = IntegerMatrix([[1, -2], [3, 10 ** 40]])
+    for twin in (copy.copy(m), copy.deepcopy(m),
+                 pickle.loads(pickle.dumps(m))):
+        assert twin == m and (twin.rows, twin.cols) == (2, 2)
+        with pytest.raises(AttributeError):
+            twin.rows = 3
+    empty = IntegerMatrix([], 4)
+    assert pickle.loads(pickle.dumps(empty)) == empty
 
 
 def test_multiplication():
@@ -260,6 +273,34 @@ def test_snf_transforms_of_hard_inputs_match_golden_digest():
         assert h.hexdigest() == HARD_INPUTS_DIGEST, transforms
 
 
+def growth_inputs():
+    """Dense 30 x 30 and 40 x 40 matrices, then a wide and a tall one.
+
+    Entries in [-9, 9]; the 40 x 40 grows transforms of about 4,400
+    bits, the regime where building u and v costs the most.
+    """
+    rng = random.Random(1998)
+    for r, c in ((30, 30), (40, 40), (20, 32), (32, 20)):
+        yield IntegerMatrix(
+            [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
+
+
+# sha256 of u, d and v over growth_inputs(), recorded while u and v were
+# still built by one elimination on the block [[m, I], [I, 0]]
+GROWTH_INPUTS_DIGEST = (
+    "dbb7e033587ccd5fcf37a72a5989108c84e55630aacbb235e43efaaa25b2548b"
+)
+
+
+def test_snf_transforms_of_growth_inputs_match_golden_digest():
+    h = hashlib.sha256()
+    for m in growth_inputs():
+        form = smith_normal_form(m)
+        for part in (form.u, form.d, form.v):
+            h.update(repr((part.rows, part.cols, part.entries())).encode())
+    assert h.hexdigest() == GROWTH_INPUTS_DIGEST
+
+
 def group_only_inputs():
     """Seeded matrices past the 7 x 7 cap of minors_gcd_oracle.
 
@@ -288,11 +329,12 @@ def group_only_inputs():
 def test_group_only_form_defers_the_eager_transforms(monkeypatch):
     inputs = list(group_only_inputs())
 
-    def refuse(m):
+    def refuse(*args):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
         patched.setattr(matrices, "_full_smith", refuse)
+        patched.setattr(matrices, "_replay", refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
     deficits = set()
@@ -303,6 +345,18 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         assert form.u * m * form.v == form.d
         deficits.add(min(m.rows, m.cols) - eager.rank)
     assert max(deficits) > 0, "no rank-deficient input"
+
+
+def test_smith_forms_survive_copy_and_pickle():
+    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    eager = smith_normal_form(m)
+    for form in (eager, smith_normal_form(m, transforms=False)):
+        for twin in (copy.copy(form), copy.deepcopy(form),
+                     pickle.loads(pickle.dumps(form))):
+            # a group-only twin builds u and v on first read, as its
+            # original would
+            assert (twin.u, twin.d, twin.v) == (eager.u, eager.d, eager.v)
+            assert twin.cokernel == eager.cokernel
 
 
 def test_cokernel_invariant_under_row_operations():

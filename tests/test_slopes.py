@@ -105,6 +105,12 @@ def test_canonical_slopes_bound_one():
     ]
 
 
+@pytest.mark.parametrize("bound", [True, 1.0, "1"])
+def test_canonical_slopes_takes_integers_only(bound):
+    with pytest.raises(TypeError):
+        list(canonical_slopes(bound))
+
+
 def test_canonical_slopes_are_distinct():
     slopes = list(canonical_slopes(12))
     assert len(slopes) == len(set(slopes))
