@@ -3,6 +3,8 @@
 Run with: python demos/smith_normal_form.py
 """
 
+import random
+
 from dehnkit import (
     IntegerMatrix,
     cokernel,
@@ -47,7 +49,20 @@ print(f"  det of a 2x2 with 10^40 entries: {big.det()}")
 print(f"  diagonal: {smith_normal_form(big).diagonal}")
 group_only = smith_normal_form(big, transforms=False)
 print(f"  without transforms: {group_only.diagonal}")
-assert group_only.u * big * group_only.v == group_only.d
+assert group_only.d == smith_normal_form(big).d
+
+# without transforms, a nonsingular square matrix of 8x8 or more is
+# diagonalized modulo |det|, so no entry outgrows the determinant
+print()
+print("-- group only, modulo |det| --")
+rng = random.Random(12)
+m12 = IntegerMatrix([[rng.randint(-9, 9) for _ in range(12)]
+                     for _ in range(12)])
+print(f"  a dense 12x12 with |det| = {abs(m12.det())}")
+group_only = smith_normal_form(m12, transforms=False)
+print(f"  cokernel {group_only.cokernel}")
+assert group_only.d == smith_normal_form(m12).d
+print("  the same d as the form with transforms")
 
 print()
 print("-- documents --")

@@ -10,8 +10,10 @@ unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
 diagonal.  One elimination loop on a bare copy of M finds D.  For U
 and V it logs its row and column steps, and U and V are accumulated
 from that log from the last step back, where the many late steps act
-on small numbers; without the log it finds D alone, and a form built
-that way makes U and V only if they are read.  From D the cokernel
+on small numbers.  D alone is found without the log or, for a
+nonsingular square M of 8 x 8 or more, by a second elimination that
+keeps every entry modulo |det M|; a form built either way makes U and
+V only if they are read.  From D the cokernel
 Z^cols / rowspan(M) is read off as an abelian group, which needs no
 transforms.  A second, independent route to the same invariant
 factors (gcds of k x k minors) is provided for cross-checking and is
@@ -231,8 +233,9 @@ class SmithForm:
 
     u and v are unimodular, d is diagonal with nonnegative entries and
     each diagonal entry divides the next.  A form made by
-    smith_normal_form(m, transforms=False) holds m in place of u and v
-    and builds both on the first read of either (see __getattr__).
+    smith_normal_form(m, transforms=False) has d from either of its
+    routes, holds m in place of u and v, and builds both the eager way
+    on the first read of either (see __getattr__).
     """
 
     u: IntegerMatrix
@@ -432,22 +435,90 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     return u, IntegerMatrix._trusted(a, m.cols), v
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with g = gcd(a, b) = s * a + u * b, for a >= 0 and b > 0."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
+
+
+def _diagonal_mod(m: IntegerMatrix, delta: int) -> list[int]:
+    """Diagonal entries e_t of m brought to diagonal form modulo delta.
+
+    delta = |det m| != 0, and delta * I = +-adj(m) * m, so delta * Z^n
+    lies in the row span of m, coker m = coker [m; delta * I], and every
+    entry may be kept reduced modulo delta.  The first column is cleared
+    by 2 x 2 row combinations [[s, u], [-b/g, a/g]] of determinant 1
+    from _xgcd(a, b), or by the exact quotient where the pivot a divides
+    b.  If the pivot then fails to divide its row, the block is
+    transposed, which keeps its Smith form, and the row is cleared as a
+    column; each such pass replaces the pivot by a proper divisor, so
+    the passes end.  Once the pivot divides its row, column steps that
+    change nothing else would clear it; the pivot is e_t, and the
+    trailing block goes on.  Z^n / (row span of m) is then the sum of
+    the Z / gcd(e_t, delta).
+    """
+    a = [[x % delta for x in row] for row in m.entries()]
+    diagonal = []
+    while a:
+        while True:
+            top = a[0]
+            for i in range(1, len(a)):
+                row, p, b = a[i], top[0], a[i][0]
+                if not b:
+                    continue
+                if p and not b % p:
+                    q = b // p
+                    a[i] = [(y - q * x) % delta for x, y in zip(top, row)]
+                else:
+                    g, s, u = _xgcd(p, b)
+                    p, b = p // g, b // g
+                    top, a[i] = (
+                        [(s * x + u * y) % delta for x, y in zip(top, row)],
+                        [(p * y - b * x) % delta for x, y in zip(top, row)])
+            a[0], p = top, top[0]
+            if not (any(x % p for x in top[1:]) if p else any(top[1:])):
+                break
+            a = [list(col) for col in zip(*a)]
+        diagonal.append(p)
+        a = [row[1:] for row in a[1:]]
+    return diagonal
+
+
 def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     """Smith normal form d = u * m * v with explicit unimodular transforms.
 
-    Either way the elimination runs on a bare copy of m.  With
-    transforms (the default) it logs its steps, and u and v are
-    accumulated from that log, from the last step back (see _replay).
-    With transforms=False nothing is logged and d alone is found, at a
-    fraction of the cost, since u and v are where the coefficients
-    grow; the form keeps m and builds u and v, equal to the eager ones,
-    the eager way on the first read of either.  See _eliminate for the
-    pivot rule.
+    With transforms (the default) the elimination runs on a bare copy
+    of m and logs its steps, and u and v are accumulated from that log,
+    from the last step back (see _replay); see _eliminate for the pivot
+    rule.  With transforms=False d alone is found, at a fraction of the
+    cost, since u and v are where the coefficients grow: a nonsingular
+    square m of 8 x 8 or more is diagonalized modulo |det m| (see
+    _diagonal_mod), where no entry outgrows |det m|, and every other m
+    by _eliminate without a log.  d is unique, so both routes find the
+    d the eager form has.  The form keeps m and builds u and v, equal to
+    the eager ones, the eager way on the first read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
-    a = [list(row) for row in m.entries()]
-    _eliminate(a)
+    # 8x8 in [-9, 9]: 53 us, _eliminate 71; the family's 6x6: 24-84 us, 10-26
+    delta = abs(m.det()) if m.rows == m.cols >= 8 else 0
+    if delta:
+        chain = [gcd(e, delta) for e in _diagonal_mod(m, delta)]
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                g = gcd(chain[i], chain[j])
+                chain[i], chain[j] = g, chain[i] * chain[j] // g
+        if prod(chain) != delta:
+            # no numbers in the message: |det| may have too many digits
+            raise RuntimeError("modular invariant factors do not multiply "
+                               "to |det m|")
+        a = [[0] * m.cols for _ in chain]
+        for i, x in enumerate(chain):
+            a[i][i] = x
+    else:
+        a = [list(row) for row in m.entries()]
+        _eliminate(a)
     form = object.__new__(SmithForm)
     object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))
     object.__setattr__(form, "_m", m)
@@ -506,8 +577,9 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
     Columns are generators, rows are relations.  Computed from the
     Smith diagonal: zero diagonal entries and missing pivots contribute
     free summands, entries >= 2 contribute finite cyclic summands.  The
-    group needs no transforms, so the elimination runs on m alone
-    (smith_normal_form with transforms=False).
+    group needs no transforms, so d is found from m alone
+    (smith_normal_form with transforms=False): modulo |det m| for a
+    nonsingular square m of 8 x 8 or more, else by _eliminate.
     """
     return smith_normal_form(m, transforms=False).cokernel
 

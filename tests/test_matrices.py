@@ -347,6 +347,107 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
     assert max(deficits) > 0, "no rank-deficient input"
 
 
+def unimodular(rng, k):
+    """L * U with unit diagonals and entries in [-2, 2]: determinant 1."""
+    lower = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(k)]
+             for i in range(k)]
+    upper = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(k)]
+             for i in range(k)]
+    return IntegerMatrix(lower) * IntegerMatrix(upper)
+
+
+def nonsingular(rng, k, bound=9):
+    while True:
+        m = IntegerMatrix(
+            [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)])
+        if m.det():
+            return m
+
+
+def modular_route_inputs():
+    """Nonsingular square matrices from 8 x 8 to 40 x 40.
+
+    Dense ones with entries in [-9, 9], A * diag(1, ..., 1, tail) * B
+    with unimodular A and B and non-generic tails (an empty tail makes
+    |det| = 1), and 8 x 8 ones with entries near 10^30.
+    """
+    rng = random.Random(1991)
+    for k in (8, 9, 12, 16, 24, 32, 40):
+        yield nonsingular(rng, k)
+    for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3), ()):
+        for k in (8, 13, 20):
+            ones = [1] * (k - len(tail))
+            yield unimodular(rng, k) * diag(*ones, *tail) * unimodular(rng, k)
+    for _ in range(4):
+        yield nonsingular(rng, 8, 10 ** 30)
+
+
+def test_modular_route_matches_eliminate(monkeypatch):
+    inputs = list(modular_route_inputs())
+    taken = []
+    real = matrices._diagonal_mod
+
+    def spy(m, delta):
+        taken.append(m)
+        return real(m, delta)
+
+    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
+    for m in inputs:
+        a = [list(row) for row in m.entries()]
+        matrices._eliminate(a)
+        assert smith_normal_form(m, transforms=False).d == IntegerMatrix(a)
+    assert taken == inputs
+    dets = [m.det() for m in inputs]
+    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
+
+
+def test_modular_route_does_not_fall_back(monkeypatch):
+    m = nonsingular(random.Random(12), 12)
+    eager = smith_normal_form(m)
+
+    def refuse(*args):
+        raise AssertionError("group-only form fell back to _eliminate")
+
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
+    assert smith_normal_form(m, transforms=False).d == eager.d
+    assert cokernel(m) == eager.cokernel
+
+
+def test_modular_route_gate(monkeypatch):
+    rng = random.Random(10)
+    singular = (IntegerMatrix([[rng.randint(-9, 9) for _ in range(9)]
+                               for _ in range(10)])
+                * IntegerMatrix([[rng.randint(-9, 9) for _ in range(10)]
+                                 for _ in range(9)]))
+    below = nonsingular(rng, 7)
+    assert singular.det() == 0 and (below.rows, below.cols) == (7, 7)
+
+    def refuse(*args):
+        raise AssertionError("took the modular route")
+
+    monkeypatch.setattr(matrices, "_diagonal_mod", refuse)
+    for m in (singular, below):
+        eager = smith_normal_form(m)
+        assert smith_normal_form(m, transforms=False).d == eager.d
+
+
+def test_modular_route_agrees_with_sympy():
+    # a third route past the 7 x 7 cap of minors_gcd_oracle; sympy is a
+    # test oracle only, never a dependency
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(2024)
+    inputs = [nonsingular(rng, k) for k in (8, 11, 17, 23, 30)]
+    inputs += [unimodular(rng, k) * diag(*[1] * (k - 3), 4, 12, 36)
+               * unimodular(rng, k) for k in (9, 15)]
+    for m in inputs:
+        factors = invariant_factors(
+            sympy.Matrix([list(row) for row in m.entries()]),
+            domain=sympy.ZZ)
+        expected = tuple(abs(int(x)) for x in factors)
+        assert smith_normal_form(m, transforms=False).diagonal == expected
+
+
 def test_smith_forms_survive_copy_and_pickle():
     m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     eager = smith_normal_form(m)

@@ -5,13 +5,16 @@ without its asserts; the test's own asserts stay in this process.
 """
 
 import ast
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
 import dehnkit
+from dehnkit import IntegerMatrix
 
 SRC = Path(dehnkit.__file__).resolve().parents[1]
 ROOT = SRC.parent
@@ -40,6 +43,32 @@ except RuntimeError as exc:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("RuntimeError: n = 3:"), proc.stdout
     assert "11/40" in proc.stdout and "0/1" in proc.stdout
+
+
+def test_modular_route_rejects_a_wrong_chain(tmp_path):
+    rng = random.Random(12)
+    while True:
+        rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+        if abs(IntegerMatrix(rows).det()) > 1:
+            break
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(IntegerMatrix(rows).to_doc()))
+    # every e_t = 1 makes a chain of ones, whose product is not |det|
+    proc = run_optimized("-c", f"""
+import sys
+from dehnkit import IntegerMatrix, cli, matrices, smith_normal_form
+matrices._diagonal_mod = lambda m, delta: [1] * m.rows
+for call in (lambda: smith_normal_form(IntegerMatrix({rows!r}), False),
+             lambda: cli.main(["snf", "--input", sys.argv[1]])):
+    try:
+        print("returned", call())
+    except RuntimeError as exc:
+        print("RuntimeError:", exc)
+""", str(path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(line.startswith("RuntimeError: ") for line in lines), lines
 
 
 def test_acceptance_suite_passes_without_library_asserts():
