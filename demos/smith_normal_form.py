@@ -51,8 +51,8 @@ group_only = smith_normal_form(big, transforms=False)
 print(f"  without transforms: {group_only.diagonal}")
 assert group_only.d == smith_normal_form(big).d
 
-# without transforms, a nonsingular square matrix of 8x8 or more is
-# diagonalized modulo |det|, so no entry outgrows the determinant
+# without transforms, a dense nonsingular square matrix of 8x8 or more
+# is diagonalized modulo |det|, so no entry outgrows the determinant
 print()
 print("-- group only, modulo |det| --")
 rng = random.Random(12)

@@ -11,13 +11,14 @@ diagonal.  One elimination loop on a bare copy of M finds D.  For U
 and V it logs its row and column steps, and U and V are accumulated
 from that log from the last step back, where the many late steps act
 on small numbers.  D alone is found without the log or, for a
-nonsingular square M of 8 x 8 or more, by a second elimination that
-keeps every entry modulo |det M|; a form built either way makes U and
-V only if they are read.  From D the cokernel
-Z^cols / rowspan(M) is read off as an abelian group, which needs no
-transforms.  A second, independent route to the same invariant
-factors (gcds of k x k minors) is provided for cross-checking and is
-deliberately not implemented in terms of the first.
+nonsingular square M of 8 x 8 or more with at most a quarter of its
+entries zero, by a second elimination that keeps every entry modulo
+|det M|; a form built either way makes U and V only if they are read.
+From D the cokernel Z^cols / rowspan(M) is read off as an abelian
+group, which needs no transforms.  A second, independent route to the
+same invariant factors (gcds of k x k minors) is provided for
+cross-checking and is deliberately not implemented in terms of the
+first.
 """
 
 from __future__ import annotations
@@ -493,16 +494,23 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     from the last step back (see _replay); see _eliminate for the pivot
     rule.  With transforms=False d alone is found, at a fraction of the
     cost, since u and v are where the coefficients grow: a nonsingular
-    square m of 8 x 8 or more is diagonalized modulo |det m| (see
-    _diagonal_mod), where no entry outgrows |det m|, and every other m
-    by _eliminate without a log.  d is unique, so both routes find the
-    d the eager form has.  The form keeps m and builds u and v, equal to
-    the eager ones, the eager way on the first read of either.
+    square m of 8 x 8 or more with at most a quarter of its entries
+    zero is diagonalized modulo |det m| (see _diagonal_mod), where no
+    entry outgrows |det m|, and every other m by _eliminate without a
+    log, which pivots on the small entries of a sparse m.  d is unique,
+    so both routes find the d the eager form has.  The form keeps m and
+    builds u and v, equal to the eager ones, the eager way on the first
+    read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
-    # 8x8 in [-9, 9]: 53 us, _eliminate 71; the family's 6x6: 24-84 us, 10-26
-    delta = abs(m.det()) if m.rows == m.cols >= 8 else 0
+    # dense 8x8 in [-9, 9]: 52 us, _eliminate 62 (a singular one pays the
+    # det on top, +15-33% at 8-60); half-zero ones about tie, and sparse
+    # chain-link presentations of 8-30 components lose up to 130x
+    n = m.rows
+    dense = n == m.cols >= 8 and 4 * sum(
+        row.count(0) for row in m.entries()) <= n * n
+    delta = abs(m.det()) if dense else 0
     if delta:
         chain = [gcd(e, delta) for e in _diagonal_mod(m, delta)]
         for i in range(len(chain)):
@@ -579,7 +587,7 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
     free summands, entries >= 2 contribute finite cyclic summands.  The
     group needs no transforms, so d is found from m alone
     (smith_normal_form with transforms=False): modulo |det m| for a
-    nonsingular square m of 8 x 8 or more, else by _eliminate.
+    dense nonsingular square m of 8 x 8 or more, else by _eliminate.
     """
     return smith_normal_form(m, transforms=False).cokernel
 

@@ -10,6 +10,7 @@ from dehnkit import (
     LONGITUDE,
     MERIDIAN,
     AbelianGroup,
+    FramedLink,
     IntegerMatrix,
     MatrixError,
     build_presentation,
@@ -374,7 +375,8 @@ def modular_route_inputs():
     rng = random.Random(1991)
     for k in (8, 9, 12, 16, 24, 32, 40):
         yield nonsingular(rng, k)
-    for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3), ()):
+    for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3),
+                 (4, 12, 36), ()):
         for k in (8, 13, 20):
             ones = [1] * (k - len(tail))
             yield unimodular(rng, k) * diag(*ones, *tail) * unimodular(rng, k)
@@ -420,15 +422,35 @@ def test_modular_route_gate(monkeypatch):
                 * IntegerMatrix([[rng.randint(-9, 9) for _ in range(10)]
                                  for _ in range(9)]))
     below = nonsingular(rng, 7)
+    # a 12-component chain link on small integral framings: nonsingular,
+    # and 110 of its 144 entries are zero
+    link = FramedLink([[int(abs(i - j) == 1) for j in range(12)]
+                       for i in range(12)])
+    chain = build_presentation(link, {
+        i: f"{rng.choice((-1, 1)) * rng.randint(2, 7)}/1" for i in range(12)})
+    while True:
+        # zeros on exactly a quarter of an 8 x 8, then on one entry more
+        rows = [[0 if (i + 2 * j) % 4 == 0 else rng.randint(-9, 9) or 1
+                 for j in range(8)] for i in range(8)]
+        quarter = IntegerMatrix(rows)
+        rows[0][1] = 0
+        more = IntegerMatrix(rows)
+        if quarter.det() and more.det():
+            break
     assert singular.det() == 0 and (below.rows, below.cols) == (7, 7)
+    assert chain.det() and sum(row.count(0) for row in chain.entries()) == 110
+    taken = []
+    real = matrices._diagonal_mod
 
-    def refuse(*args):
-        raise AssertionError("took the modular route")
+    def spy(m, delta):
+        taken.append(m)
+        return real(m, delta)
 
-    monkeypatch.setattr(matrices, "_diagonal_mod", refuse)
-    for m in (singular, below):
+    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
+    for m in (singular, below, chain, quarter, more):
         eager = smith_normal_form(m)
         assert smith_normal_form(m, transforms=False).d == eager.d
+    assert taken == [quarter]
 
 
 def test_modular_route_agrees_with_sympy():
