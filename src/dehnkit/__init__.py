@@ -1,6 +1,9 @@
 """dehnkit: exact integer computations around Dehn surgery.
 
-The package has four layers, each usable on its own:
+The package has four layers.  They are not independent: matrices
+imports no other layer, slopes takes its integer readers (integer,
+doc_integer) from matrices, twobridge takes those and Slope, and
+surgery builds on all three.
 
 - slopes: reduced fractions p/q (1/0 allowed) with intersection
   distance and unimodular coordinate changes;

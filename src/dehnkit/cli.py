@@ -7,7 +7,10 @@ object with sorted keys, so identical inputs give byte-identical
 output.  A payload may carry an IntegerMatrix; main spells it as a
 matrix document only under --json, so text mode never pays for it.
 Exit codes: 0 for success, 1 for a verification failure (only the
-family sweep can produce one), 2 for bad input of any kind.
+family sweep can produce one), 2 for bad input: a usage error, one
+of the library's input errors, malformed JSON, text that does not
+decode, or a file that cannot be read.  Any other exception is a
+fault, not bad input: it ends in a traceback, and Python exits 1.
 """
 
 from __future__ import annotations
@@ -16,18 +19,28 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 
-from .matrices import IntegerMatrix, doc_integer, smith_normal_form
-from .slopes import Slope, SlopeInvolution, distance, fixed_slopes
+from .matrices import (
+    IntegerMatrix, MatrixError, doc_integer, smith_normal_form,
+)
+from .slopes import Slope, SlopeError, SlopeInvolution, distance, fixed_slopes
 from .surgery import (
-    FramedLink, mn_framed_link, surgered_homology, verify_family,
+    FramedLink, SurgeryError, mn_framed_link, surgered_homology, verify_family,
 )
 from .twobridge import (
     ConwayWord,
     SchubertForm,
+    TangleError,
     continued_fraction,
     is_achiral_lens,
     schubert_equivalent,
+)
+
+# what bad input raises; anything else is a fault and ends in a traceback
+_BAD_INPUT = (
+    MatrixError, SlopeError, SurgeryError, TangleError,
+    json.JSONDecodeError, UnicodeDecodeError, OSError,
 )
 
 
@@ -148,10 +161,10 @@ def _cmd_snf(args) -> tuple[dict, str]:
 def _load_surgery(args):
     if args.template == "mn":
         if args.twists is None:
-            raise ValueError("the mn template needs --twists")
+            raise SurgeryError("the mn template needs --twists")
         return mn_framed_link(args.twists)
     if args.twists is not None:
-        raise ValueError("--twists only applies to the mn template")
+        raise SurgeryError("--twists only applies to the mn template")
     if args.template == "unknot":
         return FramedLink(((0,),)), {}
     return FramedLink.from_doc(_read_doc(args.input))
@@ -162,14 +175,15 @@ def _cmd_surgery(args) -> tuple[dict, str]:
     for component in args.drill or ():
         i = link.index(component)
         if i not in fills:
-            raise ValueError(
+            raise SurgeryError(
                 f"cannot drill {link.labels[i]}: component is not filled"
             )
         del fills[i]
     for item in args.fill or ():
         component, sep, slope = item.partition("=")
         if not sep:
-            raise ValueError(f"fill {item!r} is not of the form COMPONENT=P/Q")
+            raise SurgeryError(
+                f"fill {item!r} is not of the form COMPONENT=P/Q")
         fills[link.index(component)] = Slope.parse(slope)
     group = surgered_homology(link, fills)
     payload = {
@@ -184,19 +198,12 @@ def _cmd_surgery(args) -> tuple[dict, str]:
 
 def _cmd_family(args) -> tuple[dict, str]:
     reports, failures = verify_family(args.n_min, args.n_max)
+    # one column per FamilyReport field, in declaration order
     header = ["n", "schubert", "comps", "t", "p", "chirality",
               "null-homology", "swap"]
     rows = [
-        [
-            str(r.n),
-            str(r.schubert),
-            str(r.components),
-            str(r.torsion),
-            str(r.lens_order),
-            r.chirality,
-            r.null_homology,
-            "yes" if r.distance_one_swap else "no",
-        ]
+        [("yes" if v else "no") if isinstance(v, bool) else str(v)
+         for v in (getattr(r, f.name) for f in fields(r))]
         for r in reports
     ]
     payload = {
@@ -310,7 +317,7 @@ def main(argv=None) -> int:
                              default=IntegerMatrix.to_doc))
         elif text:
             print(text)
-    except (ValueError, OSError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if payload.get("failures") else 0

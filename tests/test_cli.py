@@ -594,5 +594,15 @@ def test_unknown_subcommand_is_an_input_error(capsys):
     assert run(capsys)[0] == 2
 
 
+def test_a_bare_value_error_is_a_fault(monkeypatch):
+    # exit 2 is for the library's input errors; anything else escapes
+    def fault(word):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "continued_fraction", fault)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["cfrac", "3", "2"])
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0

@@ -134,6 +134,15 @@ def test_multiplication():
     assert IntegerMatrix([[1, 0], [0, 1]]) * a == a
     with pytest.raises(MatrixError):
         b * a
+    with pytest.raises(TypeError):
+        a * 3
+
+
+def test_equality_and_hash():
+    a, b = IntegerMatrix([[1, 2]]), IntegerMatrix([[1, 2]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert IntegerMatrix([], 2) != IntegerMatrix([], 3)
+    assert (a == 3) is False
 
 
 def test_submatrix():

@@ -111,6 +111,12 @@ def test_canonical_slopes_takes_integers_only(bound):
         list(canonical_slopes(bound))
 
 
+def test_canonical_slopes_rejects_a_negative_bound():
+    # a generator: the check runs on the first next()
+    with pytest.raises(SlopeError):
+        list(canonical_slopes(-1))
+
+
 def test_canonical_slopes_are_distinct():
     slopes = list(canonical_slopes(12))
     assert len(slopes) == len(set(slopes))
