@@ -7,16 +7,19 @@ object with sorted keys, so identical inputs give byte-identical
 output.  A payload may carry an IntegerMatrix; main spells it as a
 matrix document only under --json, so text mode never pays for it.
 Exit codes: 0 for success, 1 for a verification failure (only the
-family sweep can produce one), 2 for bad input: a usage error, one
-of the library's input errors, malformed JSON, text that does not
-decode, or a file that cannot be read.  Any other exception is a
-fault, not bad input: it ends in a traceback, and Python exits 1.
+family sweep can produce one) or for a reader of stdout that left
+early (say, `| head -1`), which prints nothing more, 2 for bad input:
+a usage error, one of the library's input errors, malformed JSON,
+text that does not decode, or an input file that cannot be read.  Any
+other exception, any other OSError included, is a fault, not bad
+input: it ends in a traceback, and Python exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import fields
@@ -37,18 +40,26 @@ from .twobridge import (
     schubert_equivalent,
 )
 
+
+class _UnreadableInput(Exception):
+    """An input document that cannot be read; wraps the OSError."""
+
+
 # what bad input raises; anything else is a fault and ends in a traceback
 _BAD_INPUT = (
-    MatrixError, SlopeError, SurgeryError, TangleError,
-    json.JSONDecodeError, UnicodeDecodeError, OSError,
+    MatrixError, SlopeError, SurgeryError, TangleError, _UnreadableInput,
+    json.JSONDecodeError, UnicodeDecodeError,
 )
 
 
 def _read_doc(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _UnreadableInput(exc) from exc
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
@@ -312,14 +323,23 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         payload, text = args.func(args)
+    except _BAD_INPUT as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.json:
             print(json.dumps(payload, sort_keys=True,
                              default=IntegerMatrix.to_doc))
         elif text:
             print(text)
-    except _BAD_INPUT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; as the Python docs advise for SIGPIPE, point
+        # stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 1 if payload.get("failures") else 0
 
 

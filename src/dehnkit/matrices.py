@@ -10,10 +10,15 @@ unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
 diagonal.  One elimination loop on a bare copy of M finds D.  For U
 and V it logs its row and column steps, and U and V are accumulated
 from that log from the last step back, where the many late steps act
-on small numbers.  D alone is found without the log or, for a
-nonsingular square M of 8 x 8 or more with at most a quarter of its
-entries zero, by a second elimination that keeps every entry modulo
-|det M|; a form built either way makes U and V only if they are read.
+on small numbers.  The two replays share nothing but the log, so for
+an M of 24 x 24 or more, with os.fork, no second live thread and two
+usable CPUs, a forked child builds V while this process builds U;
+anywhere else, or if the child fails, this process builds both, and
+U and V are the same either way.  D alone is found without the log
+or, for a nonsingular square M of 8 x 8 or more with at most a
+quarter of its entries zero, by a second elimination that keeps every
+entry modulo |det M|; a form built either way makes U and V only if
+they are read.
 From D the cokernel Z^cols / rowspan(M) is read off as an abelian
 group, which needs no transforms.  A second, independent route to the
 same invariant factors (gcds of k x k minors) is provided for
@@ -246,7 +251,9 @@ class SmithForm:
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: u and v of a
         # group-only form, until this first read builds them; two
-        # threads reading at once may both build, and build equal ones
+        # threads reading at once may both build, and build equal ones,
+        # both without a child process, since a live second thread
+        # keeps _full_smith from forking
         if name not in ("u", "v") or "_m" not in self.__dict__:
             raise AttributeError(name)
         u, _, v = _full_smith(self._m)
@@ -303,9 +310,9 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
     times row t for each (i, q) in rows and column j lost q times
     column t for each (j, q) in cols.  Pulling up the offending row k
     logs (t, t, t, (), (), k, False), and negating row t at the end
-    logs (t, t, t, (), (), None, True).  _replay turns the log into u
-    and v.  Without a log no quotient list is built, so d alone pays
-    nothing for the recording.
+    logs (t, t, t, (), (), None, True).  _replay_u turns the log into
+    u, and _replay_v into v.  Without a log no quotient list is built,
+    so d alone pays nothing for the recording.
     """
     record = log is not None
     nr, nc = len(a), len(a[0]) if a else 0
@@ -382,34 +389,28 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
                 log.append((t, t, t, (), (), None, True))
 
 
-def _replay(log: list, nr: int, nc: int) -> tuple[IntegerMatrix, ...]:
-    """(u, v) from the steps _eliminate logged, last step first.
+def _replay_u(log: list, nr: int) -> IntegerMatrix:
+    """u from the row steps _eliminate logged, last step first.
 
-    The row steps E_1, ..., E_K make u = E_K ... E_1 and the column
-    steps F_1, ..., F_K make v = F_1 ... F_K.  Taken in order, each step
-    would act on the product of all steps before it, whose coefficients
-    keep growing.  Taken from the last step back, u is accumulated as
-    X <- X * E_k, a row operation on the transpose of X, and v as
-    Y <- F_k * Y, a row operation on Y.  A step at pivot t touches
-    indices >= t only, so the product of the steps after it is the
-    identity outside its trailing block, and only the tails from index
-    t on of its rows >= t change.  The many reruns of late pivots so
-    act on small numbers and short tails, and the few early steps act
-    last, on the full product.  Products are exact and associative, so
-    u and v are the ones the forward order gives.  The log is popped
-    as it is replayed, so it shrinks while u and v grow.
+    The row steps E_1, ..., E_K make u = E_K ... E_1.  Taken in order,
+    each step would act on the product of all steps before it, whose
+    coefficients keep growing.  Taken from the last step back, u is
+    accumulated as X <- X * E_k, a row operation on the transpose of X.
+    A step at pivot t touches indices >= t only, so the product of the
+    steps after it is the identity outside its trailing block, and only
+    the tails from index t on of its rows >= t change.  The many reruns
+    of late pivots so act on small numbers and short tails, and the few
+    early steps act last, on the full product.  Products are exact and
+    associative, so u is the one the forward order gives.
 
     Below about 20 x 20 there is little growth to save, and logging
     and replaying a step costs more than carrying u and v along in a
     wider elimination would: about a third more for a 6 x 6.
     """
     ut = [[0] * nr for _ in range(nr)]  # the rows of ut are the columns of u
-    v = [[0] * nc for _ in range(nc)]
-    for e in (ut, v):
-        for i, row in enumerate(e):
-            row[i] = 1
-    while log:
-        t, pi, pj, rows, cols, k, flip = log.pop()
+    for i, row in enumerate(ut):
+        row[i] = 1
+    for t, pi, _, rows, _, k, flip in reversed(log):
         top = ut[t][t:]
         if flip:
             top = [-x for x in top]
@@ -418,22 +419,128 @@ def _replay(log: list, nr: int, nc: int) -> tuple[IntegerMatrix, ...]:
         for i, q in rows:
             top = [x - q * y for x, y in zip(top, ut[i][t:])]
         ut[t][t:] = top
-        top = v[t][t:]
-        for j, q in cols:
-            top = [x - q * y for x, y in zip(top, v[j][t:])]
-        v[t][t:] = top
         ut[t], ut[pi] = ut[pi], ut[t]
+    return IntegerMatrix._trusted(zip(*ut), nr)
+
+
+def _replay_v(log: list, nc: int) -> list[list[int]]:
+    """The rows of v from the column steps _eliminate logged, last first.
+
+    The column steps F_1, ..., F_K make v = F_1 ... F_K, accumulated
+    from the last step back as Y <- F_k * Y, a row operation on Y, on
+    the same tails as in _replay_u.  A step that cleared no column only
+    swaps.
+    """
+    v = [[0] * nc for _ in range(nc)]
+    for i, row in enumerate(v):
+        row[i] = 1
+    for t, _, pj, _, cols, _, _ in reversed(log):
+        if cols:
+            top = v[t][t:]
+            for j, q in cols:
+                top = [x - q * y for x, y in zip(top, v[j][t:])]
+            v[t][t:] = top
         v[t], v[pj] = v[pj], v[t]
-    return IntegerMatrix._trusted(zip(*ut), nr), IntegerMatrix._trusted(v, nc)
+    return v
+
+
+# the smallest min(rows, cols) whose v a forked child replays: on 2
+# CPUs, in a 22 MB process on Python 3.11, fork plus transfer lost about
+# 40% at 18 x 18 and 20 x 20 of dense [-9, 9] matrices, tied at 22 x 22,
+# and won 2-5% to 28 x 28, 12% at 32 x 32 and 30% at 60 x 60; fork
+# costs more in a larger process
+_FORK_MIN = 24
+
+
+def _may_fork() -> bool:
+    """Whether a child may replay v: os.fork, one Thread, two CPUs."""
+    import os
+    import sys
+
+    # a process that never imported threading has started no Thread
+    threading = sys.modules.get("threading")
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    return (hasattr(os, "fork") and len(cpus) >= 2
+            and (threading is None or threading.active_count() == 1))
+
+
+def _replay_forked(log: list, nr: int, nc: int) -> tuple:
+    """(u, the rows of v or None): a forked child builds v, this process u.
+
+    The child runs _replay_v, writes each row to a pipe as an 8-byte
+    length and a marshal frame, and always leaves by os._exit, which
+    runs no exit hook and flushes no inherited buffer.  This process
+    runs _replay_u meanwhile, then reads and decodes v one row at a
+    time.  It closes the pipe before it reaps the child, also when
+    _replay_u raises, so a child blocked on a full pipe fails its write
+    and exits.  v is None where the pipe or the fork fails, or where
+    the child exits nonzero or sends less than all of v.
+    """
+    import marshal
+    import os
+
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return _replay_u(log, nr), None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _replay_u(log, nr), None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for row in _replay_v(log, nc):
+                    frame = marshal.dumps(row)
+                    out.write(len(frame).to_bytes(8, "little"))
+                    out.write(frame)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    v = []
+    try:
+        with open(r, "rb") as pipe:
+            u = _replay_u(log, nr)
+            try:
+                while len(v) < nc:
+                    size = int.from_bytes(pipe.read(8), "little")
+                    v.append(marshal.loads(pipe.read(size)))
+            except (EOFError, ValueError):
+                pass  # a frame cut short or missing: the child failed
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:
+            status = -1  # reaped elsewhere, as where SIGCHLD is ignored
+    return u, (v if status == 0 and len(v) == nc else None)
 
 
 def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
-    """(u, d, v) of m: eliminate on a copy of m, then replay the log."""
+    """(u, d, v) of m: eliminate on a copy of m, then replay the log.
+
+    u comes from _replay_u in this process.  v comes from a forked child
+    (_replay_forked) where min(rows, cols) >= _FORK_MIN and _may_fork
+    allows, and else, or where the child fails, from _replay_v in this
+    process.  Either way u, d and v are the same.
+    """
     a = [list(row) for row in m.entries()]
     log = []
     _eliminate(a, log)
-    u, v = _replay(log, m.rows, m.cols)
-    return u, IntegerMatrix._trusted(a, m.cols), v
+    nr, nc = m.rows, m.cols
+    v = None
+    if min(nr, nc) >= _FORK_MIN and _may_fork():
+        u, v = _replay_forked(log, nr, nc)
+    else:
+        u = _replay_u(log, nr)
+    if v is None:
+        v = _replay_v(log, nc)
+    return u, IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -491,9 +598,12 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
 
     With transforms (the default) the elimination runs on a bare copy
     of m and logs its steps, and u and v are accumulated from that log,
-    from the last step back (see _replay); see _eliminate for the pivot
-    rule.  With transforms=False d alone is found, at a fraction of the
-    cost, since u and v are where the coefficients grow: a nonsingular
+    from the last step back (see _replay_u); see _eliminate for the
+    pivot rule.  For m of 24 x 24 or more a forked child builds v while
+    this process builds u, where os.fork exists, no second thread is
+    live and two CPUs are usable, with the same result (see
+    _full_smith).  With transforms=False d alone is found, at a fraction
+    of the cost, since u and v are where the coefficients grow: a nonsingular
     square m of 8 x 8 or more with at most a quarter of its entries
     zero is diagonalized modulo |det m| (see _diagonal_mod), where no
     entry outgrows |det m|, and every other m by _eliminate without a

@@ -257,8 +257,50 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys):
 
 
 def test_snf_missing_file(capsys):
-    code, _, err = run(capsys, "snf", "--input", "/no/such/file.json")
-    assert code == 2
+    for command in ("snf", "surgery"):
+        code, out, err = run(capsys, command, "--input", "/no/such/file.json")
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: [Errno 2] "), command
+
+
+def test_an_oserror_outside_the_input_is_a_fault(monkeypatch):
+    # only the input file's OSError is bad input
+    def fault(word):
+        raise OSError("not an input error")
+
+    monkeypatch.setattr(cli, "continued_fraction", fault)
+    with pytest.raises(OSError, match="not an input error"):
+        main(["cfrac", "3", "2"])
+
+
+def test_a_reader_that_leaves_ends_in_exit_one_and_no_message():
+    # `dehnkit family ... | head -1`: stdout is a pipe nobody reads
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dehnkit", "family", "-10", "10"],
+            env=child_env(), stdout=w, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_snf_json_is_the_same_without_fork(tmp_path, capsys, monkeypatch):
+    # a dense 30 x 30 is past the gate, so its v comes from a child
+    rng = random.Random(30)
+    path = tmp_path / "m.json"
+    path.write_text(matrix_doc(
+        [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = run(capsys, "snf", "--json", "--input", str(path))
+    assert forked[0] == 0 and forks == [1]
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, "snf", "--json", "--input", str(path)) == forked
 
 
 # --------------------------------------------------------------- surgery
@@ -559,16 +601,37 @@ def test_family_failure_output_matches_golden_digests(capsys, monkeypatch):
             (1, digest), argv
 
 
-def run_child(*args):
-    """Run a fresh interpreter with this package first on its path."""
+def child_env():
+    """The environment with this package first on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, *args], env=env,
+    return env
+
+
+def run_child(*args):
+    """Run a fresh interpreter with this package first on its path."""
+    proc = subprocess.run([sys.executable, *args], env=child_env(),
                           capture_output=True, timeout=120)
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_cli_start_up_imports_no_parallel_machinery():
+    # the two-core replay imports what it needs only when it runs
+    heavy = ("pickle", "threading", "multiprocessing", "concurrent.futures",
+             "subprocess")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import dehnkit.cli\n"
+         "print(' '.join(sorted(set(sys.modules) - before)))\n"],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    added = proc.stdout.split()
+    assert proc.returncode == 0 and "dehnkit.cli" in added, proc.stderr
+    assert not set(heavy) & set(added), added
 
 
 def test_module_entry_point_matches_golden_digests():

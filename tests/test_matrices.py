@@ -1,7 +1,10 @@
 import copy
 import hashlib
+import os
 import pickle
 import random
+import signal
+import threading
 from math import prod
 
 import pytest
@@ -311,6 +314,202 @@ def test_snf_transforms_of_growth_inputs_match_golden_digest():
     assert h.hexdigest() == GROWTH_INPUTS_DIGEST
 
 
+# ------------------------------------------------------------ two-core replay
+
+def dense(seed, k):
+    rng = random.Random(seed)
+    return IntegerMatrix(
+        [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)], k)
+
+
+def gate_inputs():
+    """growth_inputs(), hard_snf_inputs() and a dense 36 x 36."""
+    return [*growth_inputs(), *hard_snf_inputs(), dense(36, 36)]
+
+
+# sha256 of u, d and v over gate_inputs(), recorded with one process
+# replaying both u and v
+GATE_INPUTS_DIGEST = (
+    "4a7aa854c379be7fd6c8e312c0fee2e0d1cb0ec2cf150a68529d1ce98e1d7678"
+)
+
+
+def parts(m):
+    form = smith_normal_form(m)
+    return tuple(part.entries() for part in (form.u, form.d, form.v))
+
+
+def in_process_parts(m, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(matrices, "_FORK_MIN", 10 ** 9)
+        return parts(m)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs for the gate, and the pids that called os.fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.fixture
+def reaped():
+    """After the test, this process has no child left, live or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "case", ["parallel", "no fork", "a second thread", "below the gate"])
+def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
+                                                    reaped):
+    inputs = gate_inputs()
+    past_gate = sum(min(m.rows, m.cols) >= matrices._FORK_MIN
+                    for m in inputs)
+    assert past_gate >= 3
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "below the gate":
+        monkeypatch.setattr(matrices, "_FORK_MIN", 10 ** 9)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "a second thread":
+        thread.start()
+    try:
+        h = hashlib.sha256()
+        for m in inputs:
+            for part in parts(m):
+                h.update(repr(part).encode())
+    finally:
+        stop.set()
+        if case == "a second thread":
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert h.hexdigest() == GATE_INPUTS_DIGEST
+    assert len(forks) == (past_gate if case == "parallel" else 0)
+
+
+def test_one_usable_cpu_replays_in_process(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    smith_normal_form(dense(36, 36))
+    assert forks == []
+
+
+def spy_v(monkeypatch, in_child):
+    """Runs in_child(real v rows) as the child's v; returns parent calls."""
+    parent = os.getpid()
+    replay_v = matrices._replay_v
+    calls = []
+
+    def spy(log, nc):
+        if os.getpid() != parent:
+            return in_child(replay_v(log, nc))
+        calls.append(nc)
+        return replay_v(log, nc)
+
+    monkeypatch.setattr(matrices, "_replay_v", spy)
+    return calls
+
+
+def test_v_comes_from_the_child(forks, monkeypatch, reaped):
+    m = dense(40, 40)
+    expected = in_process_parts(m, monkeypatch)
+    replays = spy_v(monkeypatch, lambda v: v)
+    assert parts(m) == expected
+    assert (len(forks), replays) == (1, [])
+
+
+def fail(rows):
+    raise RuntimeError("the child failed")
+
+
+def exit_three(rows):
+    # every row is sent, then the child exits 3
+    exit = os._exit
+    os._exit = lambda status: exit(3)
+    return rows
+
+
+def exit_midway(rows):
+    # half of v goes out, and _exit drops what the child's write buffer
+    # still holds, which cuts the last frame short
+    yield from rows[:len(rows) // 2]
+    os._exit(0)
+
+
+@pytest.mark.parametrize("in_child", [
+    fail, exit_three, lambda rows: rows[:len(rows) // 2], exit_midway],
+    ids=["raises", "exits 3", "sends half", "exits midway"])
+def test_a_failed_child_leaves_v_to_this_process(in_child, forks,
+                                                 monkeypatch, reaped):
+    m = dense(40, 40)
+    expected = in_process_parts(m, monkeypatch)
+    replays = spy_v(monkeypatch, in_child)
+    assert parts(m) == expected
+    assert (len(forks), replays) == (1, [40])
+
+
+def test_a_child_reaped_elsewhere_leaves_v_to_this_process(forks,
+                                                          monkeypatch,
+                                                          reaped):
+    # with SIGCHLD ignored the kernel reaps the child, and waitpid fails
+    m = dense(40, 40)
+    expected = in_process_parts(m, monkeypatch)
+    replays = spy_v(monkeypatch, lambda v: v)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert parts(m) == expected
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert (len(forks), replays) == (1, [40])
+
+
+@pytest.mark.parametrize("name", ["pipe", "fork"])
+def test_no_pipe_or_no_fork_replays_in_process(name, forks, monkeypatch,
+                                               reaped):
+    m = dense(40, 40)
+    expected = in_process_parts(m, monkeypatch)
+
+    def refuse():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, name, refuse)
+    assert parts(m) == expected
+
+
+def test_a_failed_u_replay_reaps_the_child_and_raises(forks, monkeypatch,
+                                                      reaped):
+    # v of a 40 x 40 overfills the pipe, so the child waits on its write
+    # until the read end is closed
+    def fail_u(log, nr):
+        raise RuntimeError("u failed")
+
+    def deadlock(signum, frame):
+        raise TimeoutError("waited on a child blocked on its write")
+
+    monkeypatch.setattr(matrices, "_replay_u", fail_u)
+    previous = signal.signal(signal.SIGALRM, deadlock)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="u failed"):
+            smith_normal_form(dense(40, 40))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+
+
 def group_only_inputs():
     """Seeded matrices past the 7 x 7 cap of minors_gcd_oracle.
 
@@ -343,8 +542,9 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
-        patched.setattr(matrices, "_full_smith", refuse)
-        patched.setattr(matrices, "_replay", refuse)
+        for name in ("_full_smith", "_replay_forked", "_replay_u",
+                     "_replay_v"):
+            patched.setattr(matrices, name, refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
     deficits = set()
