@@ -8,17 +8,15 @@ is meant to be a certificate, not an approximation.
 The central computation is the Smith normal form D = U * M * V with
 unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
 diagonal.  One elimination loop on a bare copy of M finds D.  For U
-and V it logs its row and column steps, and U and V are accumulated
-from that log from the last step back, where the many late steps act
-on small numbers.  The two replays share nothing but the log, so for
-an M of 24 x 24 or more, with os.fork, no second live thread and two
-usable CPUs, a forked child builds V while this process builds U;
-anywhere else, or if the child fails, this process builds both, and
-U and V are the same either way.  D alone is found without the log
-or, for a nonsingular square M of 8 x 8 or more with at most a
-quarter of its entries zero, by a second elimination that keeps every
-entry modulo |det M|; a form built either way makes U and V only if
-they are read.
+and V it logs its row steps and its column steps, and one replay
+builds U from the row steps and V from the column steps, each from
+the last step back, where the many late steps act on small numbers.
+The two replays share nothing, so for a large M a forked child may
+build V while this process builds U, with the same result (see
+_full_smith).  D alone is found without the log or, for a
+nonsingular square M of 8 x 8 or more with at most a quarter of its
+entries zero, by a second elimination that keeps every entry modulo
+|det M|; a form built either way makes U and V only if they are read.
 From D the cokernel Z^cols / rowspan(M) is read off as an abelian
 group, which needs no transforms.  A second, independent route to the
 same invariant factors (gcds of k x k minors) is provided for
@@ -281,7 +279,8 @@ class SmithForm:
         )
 
 
-def _eliminate(a: list[list[int]], log: list | None = None) -> None:
+def _eliminate(a: list[list[int]], rows: list | None = None,
+               cols: list | None = None) -> None:
     """Bring the matrix a, a list of equally long rows, to Smith form.
 
     a is changed in place and ends as d.  Pivots are chosen as the
@@ -303,18 +302,20 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
     A column operation skips the rows whose entry in the pivot column is
     0, where it would add 0; this too leaves the pivot sequence as it is.
 
-    Given a list as log, every step is appended to it in the order
-    taken, as a tuple (t, pi, pj, rows, cols, k, flip) of steps at
-    pivot t.  A clearing pass logs (t, pi, pj, rows, cols, None, False):
-    row pi and column pj were swapped into place t, then row i lost q
-    times row t for each (i, q) in rows and column j lost q times
-    column t for each (j, q) in cols.  Pulling up the offending row k
-    logs (t, t, t, (), (), k, False), and negating row t at the end
-    logs (t, t, t, (), (), None, True).  _replay_u turns the log into
-    u, and _replay_v into v.  Without a log no quotient list is built,
-    so d alone pays nothing for the recording.
+    Given lists as rows and cols, every row step is appended to rows
+    and every column step to cols, in the order taken, as a tuple
+    (t, swap, ops, k, flip) of a step at pivot t.  A clearing pass
+    appends (t, pi, row_ops, None, False) to rows and
+    (t, pj, col_ops, None, False) to cols: row pi and column pj were
+    swapped into place t, then row i lost q times row t for each
+    (i, q) in row_ops and column j lost q times column t for each
+    (j, q) in col_ops.  Pulling up the offending row k appends
+    (t, t, (), k, False) to rows, and negating row t at the end
+    appends (t, t, (), None, True).  _replay turns rows into the
+    transpose of u and cols into v.  Without the lists no quotient
+    list is built, so d alone pays nothing for the recording.
     """
-    record = log is not None
+    record = rows is not None
     nr, nc = len(a), len(a[0]) if a else 0
     for t in range(min(nr, nc)):
         while True:
@@ -346,8 +347,9 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
             dirty = False
             if record:
                 # logged now, filled in by the clearing below
-                rows, cols = [], []
-                log.append((t, pi, pj, rows, cols, None, False))
+                row_ops, col_ops = [], []
+                rows.append((t, pi, row_ops, None, False))
+                cols.append((t, pj, col_ops, None, False))
             for i in range(t + 1, nr):
                 row = a[i]
                 if row[t]:
@@ -355,7 +357,7 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
                     if q:
                         row = a[i] = [x - q * y for x, y in zip(row, top)]
                         if record:
-                            rows.append((i, q))
+                            row_ops.append((i, q))
                     if row[t]:
                         dirty = True
             for j in range(t + 1, nc):
@@ -366,7 +368,7 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
                             if row[t]:
                                 row[j] -= q * row[t]
                         if record:
-                            cols.append((j, q))
+                            col_ops.append((j, q))
                     if top[j]:
                         dirty = True
             if dirty:
@@ -382,66 +384,47 @@ def _eliminate(a: list[list[int]], log: list | None = None) -> None:
             # pull the bad row up; clearing it will shrink the pivot
             a[t] = [x + y for x, y in zip(top, a[k])]
             if record:
-                log.append((t, t, t, (), (), k, False))
+                rows.append((t, t, (), k, False))
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             if record:
-                log.append((t, t, t, (), (), None, True))
+                rows.append((t, t, (), None, True))
 
 
-def _replay_u(log: list, nr: int) -> IntegerMatrix:
-    """u from the row steps _eliminate logged, last step first.
+def _replay(steps: list, n: int) -> list[list[int]]:
+    """The rows of the n x n product of steps _eliminate logged, last first.
 
-    The row steps E_1, ..., E_K make u = E_K ... E_1.  Taken in order,
-    each step would act on the product of all steps before it, whose
-    coefficients keep growing.  Taken from the last step back, u is
-    accumulated as X <- X * E_k, a row operation on the transpose of X.
+    The row steps E_1, ..., E_K make u = E_K ... E_1, and the column
+    steps F_1, ..., F_K make v = F_1 ... F_K.  Taken in order, each step
+    would act on the product of all steps before it, whose coefficients
+    keep growing.  Taken from the last step back, v is accumulated as
+    Y <- F_k * Y and u as X <- X * E_k, and both are a row operation:
+    on Y, and on the transpose of X, which is what the row steps give.
     A step at pivot t touches indices >= t only, so the product of the
     steps after it is the identity outside its trailing block, and only
     the tails from index t on of its rows >= t change.  The many reruns
     of late pivots so act on small numbers and short tails, and the few
     early steps act last, on the full product.  Products are exact and
-    associative, so u is the one the forward order gives.
+    associative, so u and v are the ones the forward order gives.
 
     Below about 20 x 20 there is little growth to save, and logging
     and replaying a step costs more than carrying u and v along in a
     wider elimination would: about a third more for a 6 x 6.
     """
-    ut = [[0] * nr for _ in range(nr)]  # the rows of ut are the columns of u
-    for i, row in enumerate(ut):
+    x = [[0] * n for _ in range(n)]
+    for i, row in enumerate(x):
         row[i] = 1
-    for t, pi, _, rows, _, k, flip in reversed(log):
-        top = ut[t][t:]
+    for t, swap, ops, k, flip in reversed(steps):
+        top = x[t][t:]
         if flip:
-            top = [-x for x in top]
+            top = [-y for y in top]
         elif k is not None:
-            ut[k][t:] = [x + y for x, y in zip(ut[k][t:], top)]
-        for i, q in rows:
-            top = [x - q * y for x, y in zip(top, ut[i][t:])]
-        ut[t][t:] = top
-        ut[t], ut[pi] = ut[pi], ut[t]
-    return IntegerMatrix._trusted(zip(*ut), nr)
-
-
-def _replay_v(log: list, nc: int) -> list[list[int]]:
-    """The rows of v from the column steps _eliminate logged, last first.
-
-    The column steps F_1, ..., F_K make v = F_1 ... F_K, accumulated
-    from the last step back as Y <- F_k * Y, a row operation on Y, on
-    the same tails as in _replay_u.  A step that cleared no column only
-    swaps.
-    """
-    v = [[0] * nc for _ in range(nc)]
-    for i, row in enumerate(v):
-        row[i] = 1
-    for t, _, pj, _, cols, _, _ in reversed(log):
-        if cols:
-            top = v[t][t:]
-            for j, q in cols:
-                top = [x - q * y for x, y in zip(top, v[j][t:])]
-            v[t][t:] = top
-        v[t], v[pj] = v[pj], v[t]
-    return v
+            x[k][t:] = [y + z for y, z in zip(x[k][t:], top)]
+        for i, q in ops:
+            top = [y - q * z for y, z in zip(top, x[i][t:])]
+        x[t][t:] = top
+        x[t], x[swap] = x[swap], x[t]
+    return x
 
 
 # the smallest min(rows, cols) whose v a forked child replays: on 2
@@ -465,17 +448,18 @@ def _may_fork() -> bool:
             and (threading is None or threading.active_count() == 1))
 
 
-def _replay_forked(log: list, nr: int, nc: int) -> tuple:
-    """(u, the rows of v or None): a forked child builds v, this process u.
+def _replay_forked(rows: list, cols: list, nr: int, nc: int) -> tuple:
+    """(the rows of u's transpose, the rows of v or None): v in a child.
 
-    The child runs _replay_v, writes each row to a pipe as an 8-byte
-    length and a marshal frame, and always leaves by os._exit, which
-    runs no exit hook and flushes no inherited buffer.  This process
-    runs _replay_u meanwhile, then reads and decodes v one row at a
-    time.  It closes the pipe before it reaps the child, also when
-    _replay_u raises, so a child blocked on a full pipe fails its write
-    and exits.  v is None where the pipe or the fork fails, or where
-    the child exits nonzero or sends less than all of v.
+    A forked child runs _replay on the column steps, writes each row of
+    v to a pipe as an 8-byte length and a marshal frame, and always
+    leaves by os._exit, which runs no exit hook and flushes no inherited
+    buffer.  This process runs _replay on the row steps meanwhile, then
+    reads and decodes v one row at a time.  It closes the pipe before it
+    reaps the child, also when its own replay raises, so a child blocked
+    on a full pipe fails its write and exits.  v is None where the pipe
+    or the fork fails, or where the child exits nonzero or sends less
+    than all of v.
     """
     import marshal
     import os
@@ -483,19 +467,19 @@ def _replay_forked(log: list, nr: int, nc: int) -> tuple:
     try:
         r, w = os.pipe()
     except OSError:
-        return _replay_u(log, nr), None
+        return _replay(rows, nr), None
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        return _replay_u(log, nr), None
+        return _replay(rows, nr), None
     if pid == 0:
         status = 1
         try:
             os.close(r)
             with open(w, "wb") as out:
-                for row in _replay_v(log, nc):
+                for row in _replay(cols, nc):
                     frame = marshal.dumps(row)
                     out.write(len(frame).to_bytes(8, "little"))
                     out.write(frame)
@@ -506,7 +490,12 @@ def _replay_forked(log: list, nr: int, nc: int) -> tuple:
     v = []
     try:
         with open(r, "rb") as pipe:
-            u = _replay_u(log, nr)
+            ut = _replay(rows, nr)
+            # v comes a frame per row, each read whole by pipe.read(size):
+            # on 2 CPUs one frame for all of v raised the peak RSS of a
+            # 30 MB process running dense 20..60 square forms by
+            # 0.9-1.9 MB, and on a 60 x 60 v (8.2 MB) marshal.load(pipe)
+            # took 0.32 s against 0.018 s for marshal.loads(pipe.read())
             try:
                 while len(v) < nc:
                     size = int.from_bytes(pipe.read(8), "little")
@@ -518,29 +507,32 @@ def _replay_forked(log: list, nr: int, nc: int) -> tuple:
             status = os.waitpid(pid, 0)[1]
         except ChildProcessError:
             status = -1  # reaped elsewhere, as where SIGCHLD is ignored
-    return u, (v if status == 0 and len(v) == nc else None)
+    return ut, (v if status == 0 and len(v) == nc else None)
 
 
 def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
-    """(u, d, v) of m: eliminate on a copy of m, then replay the log.
+    """(u, d, v) of m: eliminate on a copy of m, then replay its steps.
 
-    u comes from _replay_u in this process.  v comes from a forked child
-    (_replay_forked) where min(rows, cols) >= _FORK_MIN and _may_fork
-    allows, and else, or where the child fails, from _replay_v in this
-    process.  Either way u, d and v are the same.
+    u comes from _replay of the row steps in this process.  v comes from
+    a forked child (_replay_forked) where min(rows, cols) >= _FORK_MIN =
+    24, os.fork exists, no second threading.Thread is live and two CPUs
+    are usable (_may_fork), and else, or where the pipe, the fork or the
+    child fails, from _replay of the column steps in this process.
+    Either way u, d and v are the same.
     """
     a = [list(row) for row in m.entries()]
-    log = []
-    _eliminate(a, log)
+    rows, cols = [], []
+    _eliminate(a, rows, cols)
     nr, nc = m.rows, m.cols
     v = None
     if min(nr, nc) >= _FORK_MIN and _may_fork():
-        u, v = _replay_forked(log, nr, nc)
+        ut, v = _replay_forked(rows, cols, nr, nc)
     else:
-        u = _replay_u(log, nr)
+        ut = _replay(rows, nr)
     if v is None:
-        v = _replay_v(log, nc)
-    return u, IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc)
+        v = _replay(cols, nc)
+    return (IntegerMatrix._trusted(zip(*ut), nr),
+            IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -598,14 +590,13 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
 
     With transforms (the default) the elimination runs on a bare copy
     of m and logs its steps, and u and v are accumulated from that log,
-    from the last step back (see _replay_u); see _eliminate for the
-    pivot rule.  For m of 24 x 24 or more a forked child builds v while
-    this process builds u, where os.fork exists, no second thread is
-    live and two CPUs are usable, with the same result (see
-    _full_smith).  With transforms=False d alone is found, at a fraction
-    of the cost, since u and v are where the coefficients grow: a nonsingular
-    square m of 8 x 8 or more with at most a quarter of its entries
-    zero is diagonalized modulo |det m| (see _diagonal_mod), where no
+    from the last step back (see _replay); see _eliminate for the pivot
+    rule.  For a large m a forked child may build v while this process
+    builds u, with the same result (see _full_smith).  With
+    transforms=False d alone is found, at a fraction of the cost, since
+    u and v are where the coefficients grow: a nonsingular square m of
+    8 x 8 or more with at most a quarter of its entries zero is
+    diagonalized modulo |det m| (see _diagonal_mod), where no
     entry outgrows |det m|, and every other m by _eliminate without a
     log, which pivots on the small entries of a sparse m.  d is unique,
     so both routes find the d the eager form has.  The form keeps m and

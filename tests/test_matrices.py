@@ -231,6 +231,15 @@ def unit_rich_matrix(rng):
     return IntegerMatrix(rows, c)
 
 
+def forms_digest(forms):
+    """sha256 of repr((rows, cols, entries)) of u, d and v of each form."""
+    h = hashlib.sha256()
+    for form in forms:
+        for part in (form.u, form.d, form.v):
+            h.update(repr((part.rows, part.cols, part.entries())).encode())
+    return h.hexdigest()
+
+
 # sha256 of u, d and v over the 300 matrices below, recorded with a
 # pivot scan over every entry; pins the pivot sequence
 PIVOT_SEQUENCE_DIGEST = (
@@ -240,12 +249,8 @@ PIVOT_SEQUENCE_DIGEST = (
 
 def test_snf_transforms_match_golden_digest():
     rng = random.Random(20261018)
-    h = hashlib.sha256()
-    for _ in range(300):
-        form = smith_normal_form(unit_rich_matrix(rng))
-        for part in (form.u, form.d, form.v):
-            h.update(repr((part.rows, part.cols, part.entries())).encode())
-    assert h.hexdigest() == PIVOT_SEQUENCE_DIGEST
+    forms = (smith_normal_form(unit_rich_matrix(rng)) for _ in range(300))
+    assert forms_digest(forms) == PIVOT_SEQUENCE_DIGEST
 
 
 def hard_snf_inputs():
@@ -278,12 +283,9 @@ HARD_INPUTS_DIGEST = (
 def test_snf_transforms_of_hard_inputs_match_golden_digest():
     # eager, then deferred: u and v built on first read are the same
     for transforms in (True, False):
-        h = hashlib.sha256()
-        for m in hard_snf_inputs():
-            form = smith_normal_form(m, transforms=transforms)
-            for part in (form.u, form.d, form.v):
-                h.update(repr((part.rows, part.cols, part.entries())).encode())
-        assert h.hexdigest() == HARD_INPUTS_DIGEST, transforms
+        forms = (smith_normal_form(m, transforms=transforms)
+                 for m in hard_snf_inputs())
+        assert forms_digest(forms) == HARD_INPUTS_DIGEST, transforms
 
 
 def growth_inputs():
@@ -306,20 +308,18 @@ GROWTH_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_growth_inputs_match_golden_digest():
-    h = hashlib.sha256()
-    for m in growth_inputs():
-        form = smith_normal_form(m)
-        for part in (form.u, form.d, form.v):
-            h.update(repr((part.rows, part.cols, part.entries())).encode())
-    assert h.hexdigest() == GROWTH_INPUTS_DIGEST
+    forms = map(smith_normal_form, growth_inputs())
+    assert forms_digest(forms) == GROWTH_INPUTS_DIGEST
 
 
 # ------------------------------------------------------------ two-core replay
 
-def dense(seed, k):
+def dense(seed, r, c=None):
+    """A seeded r x c matrix (square without c) of entries in [-9, 9]."""
+    c = r if c is None else c
     rng = random.Random(seed)
     return IntegerMatrix(
-        [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)], k)
+        [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
 
 
 def gate_inputs():
@@ -369,10 +369,27 @@ def reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def fds_closed():
+    """After the test, this process has the file descriptors it had before.
+
+    Checked where /proc/self/fd lists them, and nowhere else.
+    """
+    def open_fds():
+        try:
+            return set(os.listdir("/proc/self/fd"))
+        except FileNotFoundError:
+            return None
+
+    before = open_fds()
+    yield
+    assert open_fds() == before
+
+
 @pytest.mark.parametrize(
     "case", ["parallel", "no fork", "a second thread", "below the gate"])
 def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
-                                                    reaped):
+                                                    reaped, fds_closed):
     inputs = gate_inputs()
     past_gate = sum(min(m.rows, m.cols) >= matrices._FORK_MIN
                     for m in inputs)
@@ -399,6 +416,17 @@ def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
     assert len(forks) == (past_gate if case == "parallel" else 0)
 
 
+@pytest.mark.parametrize("r, c, forked", [
+    (24, 24, 1), (24, 30, 1), (23, 23, 0), (40, 23, 0)])
+def test_the_gate_forks_from_min_rows_cols_24_on(r, c, forked, forks,
+                                                 monkeypatch, reaped,
+                                                 fds_closed):
+    m = dense(r * c, r, c)
+    expected = in_process_parts(m, monkeypatch)
+    assert parts(m) == expected
+    assert len(forks) == forked
+
+
 def test_one_usable_cpu_replays_in_process(forks, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
@@ -406,28 +434,32 @@ def test_one_usable_cpu_replays_in_process(forks, monkeypatch):
     assert forks == []
 
 
-def spy_v(monkeypatch, in_child):
-    """Runs in_child(real v rows) as the child's v; returns parent calls."""
+def spy_replay(monkeypatch, in_child):
+    """Runs in_child(real rows) as the child's replay of v.
+
+    Returns the sizes this process replays at, u's and then v's if the
+    child fails.
+    """
     parent = os.getpid()
-    replay_v = matrices._replay_v
+    replay = matrices._replay
     calls = []
 
-    def spy(log, nc):
+    def spy(steps, n):
         if os.getpid() != parent:
-            return in_child(replay_v(log, nc))
-        calls.append(nc)
-        return replay_v(log, nc)
+            return in_child(replay(steps, n))
+        calls.append(n)
+        return replay(steps, n)
 
-    monkeypatch.setattr(matrices, "_replay_v", spy)
+    monkeypatch.setattr(matrices, "_replay", spy)
     return calls
 
 
-def test_v_comes_from_the_child(forks, monkeypatch, reaped):
+def test_v_comes_from_the_child(forks, monkeypatch, reaped, fds_closed):
     m = dense(40, 40)
     expected = in_process_parts(m, monkeypatch)
-    replays = spy_v(monkeypatch, lambda v: v)
+    replays = spy_replay(monkeypatch, lambda v: v)
     assert parts(m) == expected
-    assert (len(forks), replays) == (1, [])
+    assert (len(forks), replays) == (1, [40])
 
 
 def fail(rows):
@@ -452,32 +484,34 @@ def exit_midway(rows):
     fail, exit_three, lambda rows: rows[:len(rows) // 2], exit_midway],
     ids=["raises", "exits 3", "sends half", "exits midway"])
 def test_a_failed_child_leaves_v_to_this_process(in_child, forks,
-                                                 monkeypatch, reaped):
+                                                 monkeypatch, reaped,
+                                                 fds_closed):
     m = dense(40, 40)
     expected = in_process_parts(m, monkeypatch)
-    replays = spy_v(monkeypatch, in_child)
+    replays = spy_replay(monkeypatch, in_child)
     assert parts(m) == expected
-    assert (len(forks), replays) == (1, [40])
+    assert (len(forks), replays) == (1, [40, 40])
 
 
 def test_a_child_reaped_elsewhere_leaves_v_to_this_process(forks,
                                                           monkeypatch,
-                                                          reaped):
+                                                          reaped,
+                                                          fds_closed):
     # with SIGCHLD ignored the kernel reaps the child, and waitpid fails
     m = dense(40, 40)
     expected = in_process_parts(m, monkeypatch)
-    replays = spy_v(monkeypatch, lambda v: v)
+    replays = spy_replay(monkeypatch, lambda v: v)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         assert parts(m) == expected
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert (len(forks), replays) == (1, [40])
+    assert (len(forks), replays) == (1, [40, 40])
 
 
 @pytest.mark.parametrize("name", ["pipe", "fork"])
 def test_no_pipe_or_no_fork_replays_in_process(name, forks, monkeypatch,
-                                               reaped):
+                                               reaped, fds_closed):
     m = dense(40, 40)
     expected = in_process_parts(m, monkeypatch)
 
@@ -489,16 +523,21 @@ def test_no_pipe_or_no_fork_replays_in_process(name, forks, monkeypatch,
 
 
 def test_a_failed_u_replay_reaps_the_child_and_raises(forks, monkeypatch,
-                                                      reaped):
+                                                      reaped, fds_closed):
     # v of a 40 x 40 overfills the pipe, so the child waits on its write
     # until the read end is closed
-    def fail_u(log, nr):
-        raise RuntimeError("u failed")
+    parent = os.getpid()
+    replay = matrices._replay
+
+    def fail_u(steps, n):
+        if os.getpid() == parent:
+            raise RuntimeError("u failed")
+        return replay(steps, n)
 
     def deadlock(signum, frame):
         raise TimeoutError("waited on a child blocked on its write")
 
-    monkeypatch.setattr(matrices, "_replay_u", fail_u)
+    monkeypatch.setattr(matrices, "_replay", fail_u)
     previous = signal.signal(signal.SIGALRM, deadlock)
     signal.alarm(30)
     try:
@@ -542,8 +581,7 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
-        for name in ("_full_smith", "_replay_forked", "_replay_u",
-                     "_replay_v"):
+        for name in ("_full_smith", "_replay_forked", "_replay"):
             patched.setattr(matrices, name, refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
