@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
 
 from .matrices import (
     IntegerMatrix, MatrixError, doc_integer, smith_normal_form,
@@ -214,7 +213,7 @@ def _cmd_family(args) -> tuple[dict, str]:
               "null-homology", "swap"]
     rows = [
         [("yes" if v else "no") if isinstance(v, bool) else str(v)
-         for v in (getattr(r, f.name) for f in fields(r))]
+         for v in r._values()]
         for r in reports
     ]
     payload = {

@@ -27,7 +27,6 @@ first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 from operator import index
@@ -61,7 +60,47 @@ def doc_integer(x) -> int:
     return integer(x)
 
 
-class IntegerMatrix:
+class _Value:
+    """Base of the immutable value types: slots set once in __init__.
+
+    A plain slotted class, not a dataclass: importing dataclasses (and
+    with it inspect) and generating methods by exec would slow the
+    start of every command-line process.  A subclass names its fields
+    in _fields, in __init__'s parameter order, and sets each once with
+    object.__setattr__.  Equality, hash and repr read those fields, and
+    copy and pickle rebuild through __init__, which checks them again.
+    IntegerMatrix takes only the refusal of assignment and deletion.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class IntegerMatrix(_Value):
     """An immutable rows x cols matrix of Python integers.
 
     Entries and cols are checked (integers, no booleans, equal row
@@ -88,9 +127,6 @@ class IntegerMatrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the checked constructor; the
@@ -231,28 +267,32 @@ class IntegerMatrix:
         return f"IntegerMatrix({[list(r) for r in self._data]!r}, cols={self.cols})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(_Value):
     """The decomposition d = u * m * v of a matrix m.
 
     u and v are unimodular, d is diagonal with nonnegative entries and
     each diagonal entry divides the next.  A form made by
     smith_normal_form(m, transforms=False) has d from either of its
-    routes, holds m in place of u and v, and builds both the eager way
-    on the first read of either (see __getattr__).
+    routes and holds m in its slot _m.  Its u and v slots stay empty
+    until the first read of either builds both the eager way (see
+    __getattr__).
     """
 
-    u: IntegerMatrix
-    d: IntegerMatrix
-    v: IntegerMatrix
+    _fields = ("u", "d", "v")
+    __slots__ = _fields + ("_m",)
+
+    def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: u and v of a
-        # group-only form, until this first read builds them; two
-        # threads reading at once may both build, and build equal ones,
-        # both without a child process, since a live second thread
-        # keeps _full_smith from forking
-        if name not in ("u", "v") or "_m" not in self.__dict__:
+        # reached only for an attribute the instance lacks, an empty
+        # slot included: u and v of a group-only form, until this first
+        # read builds them; two threads reading at once may both build,
+        # and build equal ones, both without a child process, since a
+        # live second thread keeps _full_smith from forking
+        if name not in ("u", "v") or not hasattr(self, "_m"):
             raise AttributeError(name)
         u, _, v = _full_smith(self._m)
         object.__setattr__(self, "u", u)
@@ -634,8 +674,7 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     return form
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Value):
     """A finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_k.
 
     Invariant factors are all >= 2 and each divides the next, so the
@@ -643,12 +682,11 @@ class AbelianGroup:
     these fields.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
+    __slots__ = _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        rank = integer(self.free_rank)
-        factors = tuple(map(integer, self.invariant_factors))
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...]):
+        rank = integer(free_rank)
+        factors = tuple(map(integer, invariant_factors))
         if rank < 0:
             raise MatrixError("free rank cannot be negative")
         for d in factors:

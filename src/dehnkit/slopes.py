@@ -12,29 +12,26 @@ integers, never floats, so nothing here overflows or rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .matrices import doc_integer, integer
+from .matrices import _Value, doc_integer, integer
 
 
 class SlopeError(ValueError):
     """Raised for input that does not describe a slope or a basis change."""
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(_Value):
     """A slope p/q in lowest terms with q > 0, or the meridian 1/0.
 
     The constructor accepts any pair (p, q) != (0, 0) and normalizes it,
     so Slope(-2, -4) == Slope(1, 2) and Slope(-3, 0) == Slope(1, 0).
     """
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, q = integer(self.p), integer(self.q)
+    def __init__(self, p: int, q: int):
+        p, q = integer(p), integer(q)
         if p == 0 and q == 0:
             raise SlopeError("0/0 does not determine a slope")
         g = gcd(p, q)
@@ -79,8 +76,7 @@ def distance(s: Slope, t: Slope) -> int:
     return abs(s.p * t.q - s.q * t.p)
 
 
-@dataclass(frozen=True)
-class SlopeInvolution:
+class SlopeInvolution(_Value):
     """An integral unimodular change of slope coordinates.
 
     The matrix [[a, b], [c, d]] with |ad - bc| = 1 acts on a slope p/q
@@ -91,14 +87,13 @@ class SlopeInvolution:
     because slopes are unoriented.)
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, integer(getattr(self, name)))
+    def __init__(self, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "a", integer(a))
+        object.__setattr__(self, "b", integer(b))
+        object.__setattr__(self, "c", integer(c))
+        object.__setattr__(self, "d", integer(d))
         if abs(self.det) != 1:
             raise SlopeError(
                 f"matrix [[{self.a}, {self.b}], [{self.c}, {self.d}]] "

@@ -23,10 +23,8 @@ n except n = 2, that the core of the axis is not null-homologous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .matrices import (
-    AbelianGroup, IntegerMatrix, cokernel, doc_integer, integer,
+    AbelianGroup, IntegerMatrix, _Value, cokernel, doc_integer, integer,
 )
 from .slopes import AXIS_SWAP, LONGITUDE, MERIDIAN, Slope, distance
 from .twobridge import (
@@ -42,8 +40,7 @@ class CertificationError(RuntimeError):
     """Raised when a family diagram fails its own structure checks."""
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(_Value):
     """A link recorded by its linking matrix.
 
     The matrix is symmetric with zero diagonal; entry (i, j) is the
@@ -53,11 +50,11 @@ class FramedLink:
     K1, ..., Km.
     """
 
-    linking: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = ()
+    __slots__ = _fields = ("linking", "labels")
 
-    def __post_init__(self):
-        linking = tuple(tuple(map(integer, r)) for r in self.linking)
+    def __init__(self, linking: tuple[tuple[int, ...], ...],
+                 labels: tuple[str, ...] = ()):
+        linking = tuple(tuple(map(integer, r)) for r in linking)
         m = len(linking)
         for i, row in enumerate(linking):
             if len(row) != m:
@@ -72,10 +69,10 @@ class FramedLink:
                     raise SurgeryError(
                         f"linking matrix is not symmetric at ({i}, {j})"
                     )
-        if isinstance(self.labels, str):
-            raise TypeError(f"labels {self.labels!r} is a string, not one "
+        if isinstance(labels, str):
+            raise TypeError(f"labels {labels!r} is a string, not one "
                             "string per component")
-        labels = tuple(self.labels) or tuple(f"K{i + 1}" for i in range(m))
+        labels = tuple(labels) or tuple(f"K{i + 1}" for i in range(m))
         for label in labels:
             if not isinstance(label, str):
                 raise TypeError(f"label {label!r} is not a string")
@@ -251,8 +248,7 @@ def family_torsion(n: int) -> int:
     return abs((n - 1) * (n * n + 1))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(_Value):
     """Everything certify_family establishes about one parameter n.
 
     null_homology is one of the two verdict strings CERTIFIED and
@@ -261,17 +257,24 @@ class FamilyReport:
     as the distinctness hash.
     """
 
-    n: int
-    schubert: SchubertForm
-    components: int
-    torsion: int
-    lens_order: int
-    chirality: str
-    null_homology: str
-    distance_one_swap: bool
+    __slots__ = _fields = ("n", "schubert", "components", "torsion",
+                           "lens_order", "chirality", "null_homology",
+                           "distance_one_swap")
+
+    def __init__(self, n: int, schubert: SchubertForm, components: int,
+                 torsion: int, lens_order: int, chirality: str,
+                 null_homology: str, distance_one_swap: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "schubert", schubert)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "lens_order", lens_order)
+        object.__setattr__(self, "chirality", chirality)
+        object.__setattr__(self, "null_homology", null_homology)
+        object.__setattr__(self, "distance_one_swap", distance_one_swap)
 
     def as_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = dict(zip(self._fields, self._values()))
         d["schubert"] = str(self.schubert)
         d["distinctness_hash"] = self.torsion
         return d

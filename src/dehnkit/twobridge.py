@@ -15,10 +15,9 @@ the link, which is how the achirality test below is phrased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .matrices import doc_integer, integer
+from .matrices import _Value, doc_integer, integer
 from .slopes import Slope
 
 
@@ -26,14 +25,13 @@ class TangleError(ValueError):
     """Raised for ill-formed Conway words or impossible evaluations."""
 
 
-@dataclass(frozen=True)
-class ConwayWord:
+class ConwayWord(_Value):
     """A tuple of twist counts C(a_1, ..., a_k)."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(map(integer, self.entries))
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(map(integer, entries))
         if not entries:
             raise TangleError("a Conway word needs at least one entry")
         object.__setattr__(self, "entries", entries)
@@ -81,20 +79,18 @@ def continued_fraction(word) -> Slope:
     return Slope(den, num)
 
 
-@dataclass(frozen=True)
-class SchubertForm:
+class SchubertForm(_Value):
     """Normal form S(p, q) with p >= 1, 0 <= q < p, gcd(p, q) = 1.
 
     S(1, 0) is the unknot.  q determines the link up to the congruence
     q' == q or q*q' == 1 (mod p).
     """
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", integer(self.p))
-        object.__setattr__(self, "q", integer(self.q))
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", integer(p))
+        object.__setattr__(self, "q", integer(q))
         if self.p < 1:
             raise TangleError(f"Schubert p must be positive, got {self.p}")
         if not 0 <= self.q < self.p:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -618,10 +619,11 @@ def run_child(*args):
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
-def test_cli_start_up_imports_no_parallel_machinery():
-    # the two-core replay imports what it needs only when it runs
+def test_cli_start_up_imports_no_heavy_modules():
+    # the two-core replay imports what it needs only when it runs, and
+    # the value types are plain slotted classes, not dataclasses
     heavy = ("pickle", "threading", "multiprocessing", "concurrent.futures",
-             "subprocess")
+             "subprocess", "dataclasses", "inspect")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys\n"
@@ -632,6 +634,18 @@ def test_cli_start_up_imports_no_parallel_machinery():
     added = proc.stdout.split()
     assert proc.returncode == 0 and "dehnkit.cli" in added, proc.stderr
     assert not set(heavy) & set(added), added
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
 def test_module_entry_point_matches_golden_digests():

@@ -117,6 +117,12 @@ def test_immutability():
     m = IntegerMatrix([[1]])
     with pytest.raises(AttributeError):
         m.rows = 2
+    # a deleted field would leave rows, == and str raising AttributeError
+    for name in ("rows", "cols", "_data"):
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert (m.rows, m.cols, str(m)) == (1, 1, "[ 1 ]")
+    assert m == IntegerMatrix([[1]])
 
 
 def test_matrix_survives_copy_and_pickle():
@@ -723,8 +729,7 @@ def test_smith_forms_survive_copy_and_pickle():
     for form in (eager, smith_normal_form(m, transforms=False)):
         for twin in (copy.copy(form), copy.deepcopy(form),
                      pickle.loads(pickle.dumps(form))):
-            # a group-only twin builds u and v on first read, as its
-            # original would
+            # copying a group-only form reads, and so builds, u and v
             assert (twin.u, twin.d, twin.v) == (eager.u, eager.d, eager.v)
             assert twin.cokernel == eager.cokernel
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from dehnkit import (
     CERTIFIED,
     INCONCLUSIVE,
     AbelianGroup,
+    FamilyReport,
     FramedLink,
     IntegerMatrix,
     SchubertForm,
@@ -213,10 +213,10 @@ def test_family_diagram_shape():
 
 
 def test_family_diagram_is_built_once(monkeypatch):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("FramedLink constructed")
 
-    monkeypatch.setattr(FramedLink, "__post_init__", refuse)
+    monkeypatch.setattr(FramedLink, "__init__", refuse)
     link, fills = mn_framed_link(-7)
     assert link.labels == ("a", "b", "c", "d", "e", "x")
     assert fills[0] == Slope(-7, 1)
@@ -491,7 +491,8 @@ def test_verify_family_skips_degenerate_members():
 def test_verify_family_failure_lines(monkeypatch, change, lines):
     def tampered(n):
         r = certify_family(n)
-        return dataclasses.replace(r, **change(r))
+        fields = {f: getattr(r, f) for f in FamilyReport._fields}
+        return FamilyReport(**{**fields, **change(r)})
 
     monkeypatch.setattr(surgery, "certify_family", tampered)
     assert verify_family(3, 4)[1] == lines
