@@ -69,7 +69,6 @@ class _Value:
     in _fields, in __init__'s parameter order, and sets each once with
     object.__setattr__.  Equality, hash and repr read those fields, and
     copy and pickle rebuild through __init__, which checks them again.
-    IntegerMatrix takes only the refusal of assignment and deletion.
     """
 
     __slots__ = ()
@@ -110,6 +109,7 @@ class IntegerMatrix(_Value):
     """
 
     __slots__ = ("rows", "cols", "_data")
+    _fields = ("_data", "cols")
 
     def __init__(self, data, cols: int | None = None):
         data = tuple(tuple(map(integer, row)) for row in data)
@@ -128,11 +128,6 @@ class IntegerMatrix(_Value):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_data", data)
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the checked constructor; the
-        # default slot-state restore would write through __setattr__
-        return IntegerMatrix, (self._data, self.cols)
-
     @classmethod
     def _trusted(cls, rows, cols: int) -> "IntegerMatrix":
         """A matrix of rows of checked ints, each cols long; no checks."""
@@ -149,14 +144,6 @@ class IntegerMatrix(_Value):
 
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._data
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self._data == other._data
-
-    def __hash__(self):
-        return hash((self.cols, self._data))
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if not isinstance(other, IntegerMatrix):
@@ -476,7 +463,14 @@ _FORK_MIN = 24
 
 
 def _may_fork() -> bool:
-    """Whether a child may replay v: os.fork, one Thread, two CPUs."""
+    """Whether a child may replay v: os.fork, one Thread, two CPUs.
+
+    Two hazards stay open.  Only threading.Thread objects are counted,
+    not threads started in C, such as pytest's faulthandler watchdog;
+    with one live, Python 3.12+ warns at os.fork.  And _FORK_MIN was
+    tuned in a 22 MB process: a caller with a larger heap pays more for
+    each fork.
+    """
     import os
     import sys
 

@@ -43,13 +43,12 @@ class Slope(_Value):
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
-        """Parse 'p/q' or a bare integer 'p' (meaning p/1)."""
-        s = text.strip()
+        """Parse 'p/q' or a bare 'p' (p/1); p, q match -?[0-9]+ exactly."""
         try:
-            if "/" in s:
-                a, b = s.split("/")
+            if "/" in text:
+                a, b = text.split("/")
                 return cls(doc_integer(a), doc_integer(b))
-            return cls(doc_integer(s), 1)
+            return cls(doc_integer(text), 1)
         except SlopeError:
             raise
         except ValueError:

@@ -558,6 +558,10 @@ GOLDEN = [
      2, EMPTY),
     (("surgery", "--template", "mn", "-n", "2", "--drill", " 0"),
      2, EMPTY),
+    (("slope", "dist", " 3", "1/0"),
+     2, EMPTY),
+    (("surgery", "--template", "mn", "-n", "2", "--fill", "x= 1/0"),
+     2, EMPTY),
 ]
 
 

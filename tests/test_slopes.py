@@ -66,13 +66,6 @@ def test_zero_zero_rejected():
         Slope(0, 0)
 
 
-def test_slope_rejects_booleans():
-    with pytest.raises(TypeError):
-        Slope(True, 2)
-    with pytest.raises(TypeError):
-        Slope(1, True)
-
-
 def test_slopes_are_not_ordered():
     # a (p, q) tuple order would put 1/2 below 1/3
     with pytest.raises(TypeError):
@@ -83,11 +76,12 @@ def test_parse_round_trip():
     for text in ["1/0", "0/1", "-3/7", "11/40"]:
         assert str(Slope.parse(text)) == text
     assert Slope.parse("7") == Slope(7, 1)
-    assert Slope.parse(" -2/ 4 ".replace(" ", "")) == Slope(-1, 2)
+    assert Slope.parse("-2/4") == Slope(-1, 2)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/2/3", "3.5", "1/ /2", "1_0/1",
-                                 "1/ 2", "+3", "\u0661\u0662"])
+                                 "1/ 2", "+3", "\u0661\u0662", " 3", "1/2 ",
+                                 "\t-2/3\n"])
 def test_parse_rejects_junk(bad):
     with pytest.raises(SlopeError):
         Slope.parse(bad)
@@ -103,12 +97,6 @@ def test_canonical_slopes_bound_one():
     assert list(canonical_slopes(1)) == [
         Slope(1, 0), Slope(-1, 1), Slope(0, 1), Slope(1, 1),
     ]
-
-
-@pytest.mark.parametrize("bound", [True, 1.0, "1"])
-def test_canonical_slopes_takes_integers_only(bound):
-    with pytest.raises(TypeError):
-        list(canonical_slopes(bound))
 
 
 def test_canonical_slopes_rejects_a_negative_bound():
@@ -159,20 +147,6 @@ def test_non_unimodular_rejected():
         SlopeInvolution(1, 0, 0, 2)
     with pytest.raises(SlopeError):
         SlopeInvolution(1, 2, 2, 1)
-
-
-def test_involution_takes_integers_only():
-    with pytest.raises(TypeError):
-        SlopeInvolution(1.0, 0, 0, -1.0)
-    with pytest.raises(TypeError):
-        fixed_slopes(AXIS_SWAP, 2.5)
-
-
-def test_involution_rejects_booleans():
-    with pytest.raises(TypeError):
-        SlopeInvolution(True, 0, 0, True)
-    with pytest.raises(TypeError):
-        fixed_slopes(AXIS_SWAP, True)
 
 
 def test_apply_examples():

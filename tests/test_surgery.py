@@ -91,18 +91,6 @@ def test_component_resolution():
         HOPF.index(2)
 
 
-def test_component_index_takes_integers_only():
-    with pytest.raises(TypeError):
-        HOPF.index(1.7)
-
-
-def test_link_rejects_booleans():
-    with pytest.raises(TypeError):
-        HOPF.index(True)
-    with pytest.raises(TypeError):
-        FramedLink(((0, True), (True, 0)))
-
-
 def test_link_labels_are_strings():
     # an integer label would shadow the component index of that value
     with pytest.raises(TypeError):
@@ -369,6 +357,10 @@ def test_link_doc_validation():
     with pytest.raises(ValueError):
         FramedLink.from_doc(
             {"components": 1, "linking": [[0]], "fillings": {"K1": "0/0"}}
+        )
+    with pytest.raises(ValueError):
+        FramedLink.from_doc(
+            {"components": 1, "linking": [[0]], "fillings": {"K1": " 3/2 "}}
         )
     hopf = {"components": 2, "linking": [[0, 1], [1, 0]]}
     for bad in (

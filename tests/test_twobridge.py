@@ -62,18 +62,6 @@ def test_word_rejects_empty_and_junk():
             ConwayWord.parse(junk)
 
 
-def test_word_takes_integers_only():
-    with pytest.raises(TypeError):
-        ConwayWord((2.5, 3))
-    with pytest.raises(TypeError):
-        continued_fraction([2.5, 3])
-
-
-def test_word_rejects_booleans():
-    with pytest.raises(TypeError):
-        ConwayWord((True, 2))
-
-
 def test_word_is_not_a_sequence():
     word = ConwayWord((2, 3))
     with pytest.raises(TypeError):
@@ -167,18 +155,6 @@ def test_schubert_validation():
         SchubertForm(5, -1)
     with pytest.raises(TangleError):
         SchubertForm(4, 2)
-
-
-def test_schubert_takes_integers_only():
-    with pytest.raises(TypeError):
-        SchubertForm(1.0, 0)
-    with pytest.raises(TypeError):
-        SchubertForm(5, 2.0)
-
-
-def test_schubert_rejects_booleans():
-    with pytest.raises(TypeError):
-        SchubertForm(True, False)
 
 
 def test_schubert_from_slope():
