@@ -21,6 +21,7 @@ All arithmetic is exact; there are no floats anywhere.
 
 from .matrices import (
     AbelianGroup,
+    InputError,
     IntegerMatrix,
     MatrixError,
     SmithForm,
@@ -77,6 +78,7 @@ __all__ = [
     "FamilyReport",
     "FramedLink",
     "INCONCLUSIVE",
+    "InputError",
     "IntegerMatrix",
     "LONGITUDE",
     "MERIDIAN",

@@ -9,10 +9,10 @@ matrix document only under --json, so text mode never pays for it.
 Exit codes: 0 for success, 1 for a verification failure (only the
 family sweep can produce one) or for a reader of stdout that left
 early (say, `| head -1`), which prints nothing more, 2 for bad input:
-a usage error, one of the library's input errors, malformed JSON,
-text that does not decode, or an input file that cannot be read.  Any
-other exception, any other OSError included, is a fault, not bad
-input: it ends in a traceback, and Python exits 1.
+a usage error or an InputError: every layer's input error, or what
+_read_doc makes of an unreadable file, malformed JSON or undecodable
+text.  Any other exception, any other OSError or ValueError included,
+is a fault, not bad input: it ends in a traceback, and Python exits 1.
 """
 
 from __future__ import annotations
@@ -24,30 +24,18 @@ import re
 import sys
 
 from .matrices import (
-    IntegerMatrix, MatrixError, doc_integer, smith_normal_form,
+    InputError, IntegerMatrix, doc_integer, smith_normal_form,
 )
-from .slopes import Slope, SlopeError, SlopeInvolution, distance, fixed_slopes
+from .slopes import Slope, SlopeInvolution, distance, fixed_slopes
 from .surgery import (
     FramedLink, SurgeryError, mn_framed_link, surgered_homology, verify_family,
 )
 from .twobridge import (
     ConwayWord,
     SchubertForm,
-    TangleError,
     continued_fraction,
     is_achiral_lens,
     schubert_equivalent,
-)
-
-
-class _UnreadableInput(Exception):
-    """An input document that cannot be read; wraps the OSError."""
-
-
-# what bad input raises; anything else is a fault and ends in a traceback
-_BAD_INPUT = (
-    MatrixError, SlopeError, SurgeryError, TangleError, _UnreadableInput,
-    json.JSONDecodeError, UnicodeDecodeError,
 )
 
 
@@ -57,8 +45,8 @@ def _read_doc(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise _UnreadableInput(exc) from exc
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(exc) from exc
 
 
 def _table(header: list[str], rows: list[list[str]]) -> str:
@@ -322,7 +310,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         payload, text = args.func(args)
-    except _BAD_INPUT as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -32,7 +32,11 @@ from math import gcd, prod
 from operator import index
 
 
-class MatrixError(ValueError):
+class InputError(ValueError):
+    """Bad input, the base of every layer's error; the CLI exits 2 on it."""
+
+
+class MatrixError(InputError):
     """Raised for malformed matrices or documents."""
 
 

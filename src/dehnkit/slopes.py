@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .matrices import _Value, doc_integer, integer
+from .matrices import InputError, _Value, doc_integer, integer
 
 
-class SlopeError(ValueError):
+class SlopeError(InputError):
     """Raised for input that does not describe a slope or a basis change."""
 
 
@@ -44,6 +44,8 @@ class Slope(_Value):
     @classmethod
     def parse(cls, text: str) -> "Slope":
         """Parse 'p/q' or a bare 'p' (p/1); p, q match -?[0-9]+ exactly."""
+        if not isinstance(text, str):
+            raise TypeError(f"{text!r} is not a string")
         try:
             if "/" in text:
                 a, b = text.split("/")

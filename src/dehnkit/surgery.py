@@ -24,7 +24,8 @@ n except n = 2, that the core of the axis is not null-homologous.
 from __future__ import annotations
 
 from .matrices import (
-    AbelianGroup, IntegerMatrix, _Value, cokernel, doc_integer, integer,
+    AbelianGroup, InputError, IntegerMatrix, _Value, cokernel, doc_integer,
+    integer,
 )
 from .slopes import AXIS_SWAP, LONGITUDE, MERIDIAN, Slope, distance
 from .twobridge import (
@@ -32,7 +33,7 @@ from .twobridge import (
 )
 
 
-class SurgeryError(ValueError):
+class SurgeryError(InputError):
     """Raised for malformed links, fillings, or documents."""
 
 
@@ -231,6 +232,7 @@ def mn_framed_link(n: int) -> tuple[FramedLink, dict[int, Slope]]:
     axis x stays open.  n = 0 and n = 1 are rejected, the diagram
     degenerates there.
     """
+    n = integer(n)
     if n in (0, 1):
         raise SurgeryError(f"family parameter n = {n} is degenerate")
     fillings = {
@@ -336,6 +338,7 @@ def verify_family(n_lo: int, n_hi: int):
     polynomials, each failing as "CHECK n=N: got X, expected Y", and
     verify pairwise distinctness across the range.
     """
+    n_lo, n_hi = integer(n_lo), integer(n_hi)
     if n_lo > n_hi:
         raise SurgeryError(f"empty range [{n_lo}, {n_hi}]")
     reports: list[FamilyReport] = []

@@ -1,8 +1,8 @@
 """Conway words, continued fractions, and Schubert normal forms.
 
 A rational tangle is encoded by a Conway word C(a_1, ..., a_k) of
-nonzero twist counts.  Its closure is the two-bridge link whose
-fraction is the continued fraction
+twist counts.  Its closure is the two-bridge link whose fraction is the
+continued fraction
 
     1 / (a_1 + 1 / (a_2 + ... + 1 / a_k))
 
@@ -11,17 +11,21 @@ normal form S(p, q) with 0 <= q < p, which classifies the link: S(p, q)
 and S(p, q') are isotopic iff q' is congruent to q or to the inverse of
 q mod p.  The same pair classifies the lens space double branched over
 the link, which is how the achirality test below is phrased.
+
+A twist count may be 0: continued_fraction refuses only a word with a
+proper tail a_i + 1/(... + 1/a_k), i > 1, that evaluates to 0, so C(0)
+gives 1/0 and C(0, 1) gives 1/1.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .matrices import _Value, doc_integer, integer
+from .matrices import InputError, _Value, doc_integer, integer
 from .slopes import Slope
 
 
-class TangleError(ValueError):
+class TangleError(InputError):
     """Raised for ill-formed Conway words or impossible evaluations."""
 
 
@@ -39,6 +43,8 @@ class ConwayWord(_Value):
     @classmethod
     def parse(cls, text: str) -> "ConwayWord":
         """Parse 'a1,a2,...' or whitespace-separated entries."""
+        if not isinstance(text, str):
+            raise TypeError(f"{text!r} is not a string")
         parts = text.replace(",", " ").split()
         try:
             return cls(tuple(map(doc_integer, parts)))
@@ -169,9 +175,11 @@ def family_polynomials(n: int) -> tuple[int, int]:
 def family_word(n: int) -> ConwayWord:
     """The Conway word C(n, n, -1, n, n).
 
-    n = 0 and n = 1 are excluded: the first has zero twist counts and
-    the second collapses to the unknot (p(1) = 0).
+    n = 0 and n = 1 are excluded: the first has the proper tail C(0),
+    which evaluates to 0, and the second collapses to the unknot
+    (p(1) = 0).
     """
+    n = integer(n)
     if n in (0, 1):
         raise TangleError(f"family parameter n = {n} is degenerate")
     return ConwayWord((n, n, -1, n, n))

@@ -10,7 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from dehnkit import IntegerMatrix, cli, matrices, mn_framed_link, surgery
+from dehnkit import (
+    CertificationError,
+    InputError,
+    IntegerMatrix,
+    MatrixError,
+    SlopeError,
+    SurgeryError,
+    TangleError,
+    cli,
+    matrices,
+    mn_framed_link,
+    surgery,
+)
 from dehnkit.cli import main
 
 
@@ -683,6 +695,39 @@ def test_a_bare_value_error_is_a_fault(monkeypatch):
     monkeypatch.setattr(cli, "continued_fraction", fault)
     with pytest.raises(ValueError, match="not an input error"):
         main(["cfrac", "3", "2"])
+
+
+@pytest.mark.parametrize("error, bad_input", [
+    (MatrixError, True),
+    (SlopeError, True),
+    (SurgeryError, True),
+    (TangleError, True),
+    (CertificationError, False),
+])
+def test_exit_two_is_for_input_errors_alone(error, bad_input):
+    assert issubclass(error, InputError) is bad_input
+    assert issubclass(error, ValueError) is bad_input
+
+
+def test_only_a_decode_error_from_json_load_is_bad_input(tmp_path, capsys,
+                                                          monkeypatch):
+    # a JSON integer of more than 4,300 digits makes json.load raise a
+    # bare ValueError; that is a fault, not a document the user got wrong
+    path = tmp_path / "m.json"
+    path.write_text(matrix_doc([[1]]))
+
+    def fault(fh):
+        raise ValueError("not an input error")
+
+    def malformed(fh):
+        raise json.JSONDecodeError("Expecting value", "x", 0)
+
+    monkeypatch.setattr(json, "load", fault)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["snf", "--input", str(path)])
+    monkeypatch.setattr(json, "load", malformed)
+    assert run(capsys, "snf", "--input", str(path)) == (
+        2, "", "error: Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_help_exits_zero(capsys):

@@ -4,11 +4,13 @@ Each type compares by its fields, hashes equal values alike, prints as
 Name(field=value, ...) (IntegerMatrix as IntegerMatrix(rows, cols=c)),
 refuses assignment and deletion, and comes back equal from copy,
 deepcopy and pickle.  The types and the functions that build them take
-Python integers only: a float, a string or a boolean raises TypeError.
+Python integers only: a float, a string or a boolean raises TypeError,
+and the text parsers take strings only.
 """
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -28,9 +30,12 @@ from dehnkit import (
     canonical_slopes,
     certify_family,
     continued_fraction,
+    family_word,
     fixed_slopes,
     matrices,
+    mn_framed_link,
     smith_normal_form,
+    verify_family,
 )
 
 M = [[2, 4], [-6, 6]]
@@ -166,11 +171,34 @@ TAKES_INTEGERS_ONLY = {
     "SchubertForm-float-p": (SchubertForm, 1.0, 0),
     "SchubertForm-float-q": (SchubertForm, 5, 2.0),
     "SchubertForm-bool": (SchubertForm, True, False),
+    "family_word-bool": (family_word, True),
+    "mn_framed_link-bool": (mn_framed_link, True),
+    "certify_family-bool": (certify_family, True),
+    "verify_family-bool-lo": (verify_family, True, 3),
+    "verify_family-bool-hi": (verify_family, 2, True),
+    "Slope.parse-int": (Slope.parse, 3),
+    "Slope.parse-bytes": (Slope.parse, b"3/2"),
+    "FramedLink.resolve_fillings-int": (HOPF.resolve_fillings, {"u": 3}),
+    "ConwayWord.parse-int": (ConwayWord.parse, 3),
+}
+
+# the message of a text parser's row; a boolean row's is "True is not
+# an integer", and both name the refused value
+NAMES_THE_VALUE = {
+    "Slope.parse-int": "3 is not a string",
+    "Slope.parse-bytes": "b'3/2' is not a string",
+    "FramedLink.resolve_fillings-int": "3 is not a string",
+    "ConwayWord.parse-int": "3 is not a string",
 }
 
 
 @pytest.mark.parametrize("name", TAKES_INTEGERS_ONLY)
 def test_value_types_take_integers_only(name):
     call, *args = TAKES_INTEGERS_ONLY[name]
-    with pytest.raises(TypeError):
+    if "-bool" in name:
+        message = "True is not an integer"
+    else:
+        message = NAMES_THE_VALUE.get(name)
+    match = message and f"^{re.escape(message)}$"
+    with pytest.raises(TypeError, match=match):
         call(*args)
