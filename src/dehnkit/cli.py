@@ -18,6 +18,7 @@ is a fault, not bad input: it ends in a traceback, and Python exits 1.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -40,10 +41,19 @@ from .twobridge import (
 
 
 def _read_doc(path: str) -> dict:
+    """The JSON document in the file path, or on stdin for "-".
+
+    Both decode as strict UTF-8, stdin from its bytes: sys.stdin's own
+    text layer may decode with surrogateescape, which lets a byte that
+    is not UTF-8 through as a lone surrogate.  A file is closed after
+    the read, and so is stdin.
+    """
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        else:
+            fh = open(path, encoding="utf-8")
+        with fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(exc) from exc

@@ -13,10 +13,13 @@ builds U from the row steps and V from the column steps, each from
 the last step back, where the many late steps act on small numbers.
 The two replays share nothing, so for a large M a forked child may
 build V while this process builds U, with the same result (see
-_full_smith).  D alone is found without the log or, for a
-nonsingular square M of 8 x 8 or more with at most a quarter of its
-entries zero, by a second elimination that keeps every entry modulo
-|det M|; a form built either way makes U and V only if they are read.
+_full_smith).  D alone never touches that log.  A nonsingular square
+M of 8 x 8 or more with at most a quarter of its entries zero is
+eliminated keeping every entry modulo |det M|; any other M first
+drops each entry +-1 with its row and column (a Schur complement),
+then runs the elimination without the log, and a last block of one
+row, one column or 2 x 2 ends by gcds.  A form built either way makes
+U and V, by the unchanged logged elimination, only if they are read.
 From D the cokernel Z^cols / rowspan(M) is read off as an abelian
 group, which needs no transforms.  A second, independent route to the
 same invariant factors (gcds of k x k minors) is provided for
@@ -41,14 +44,18 @@ class MatrixError(InputError):
 
 
 def integer(x) -> int:
-    """operator.index, except that a bool raises TypeError.
+    """operator.index, except that a bool raises TypeError too.
 
     index(True) is 1, but documents reject JSON true, so the value
-    types reject True alike.
+    types reject True alike.  Every refused value raises the same
+    TypeError, which names it.
     """
-    if isinstance(x, bool):
-        raise TypeError(f"{x!r} is not an integer")
-    return index(x)
+    try:
+        if not isinstance(x, bool):
+            return index(x)
+    except TypeError:
+        pass
+    raise TypeError(f"{x!r} is not an integer")
 
 
 def doc_integer(x) -> int:
@@ -311,10 +318,11 @@ class SmithForm(_Value):
 
 
 def _eliminate(a: list[list[int]], rows: list | None = None,
-               cols: list | None = None) -> None:
+               cols: list | None = None) -> list[int]:
     """Bring the matrix a, a list of equally long rows, to Smith form.
 
-    a is changed in place and ends as d.  Pivots are chosen as the
+    Returns the diagonal of d up to its trailing zeros.  a is changed in
+    place; given the lists below, it ends as d.  Pivots are chosen as the
     smallest nonzero entry in absolute value of the remaining
     submatrix, which keeps coefficient growth tame; of equally small
     entries the first in row-major order wins.  Each pivot is then used
@@ -344,11 +352,17 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
     (t, t, (), k, False) to rows, and negating row t at the end
     appends (t, t, (), None, True).  _replay turns rows into the
     transpose of u and cols into v.  Without the lists no quotient
-    list is built, so d alone pays nothing for the recording.
+    list is built, so d alone pays nothing for the recording, and a
+    trailing block of one row, one column or 2 x 2 ends by gcds
+    (_small_diagonal) and stays in a as it is.
     """
     record = rows is not None
     nr, nc = len(a), len(a[0]) if a else 0
     for t in range(min(nr, nc)):
+        if not record and (nr - t < 2 or nc - t < 2 or nr - t == nc - t == 2):
+            # every earlier pivot divides each entry of this block
+            return ([a[i][i] for i in range(t)]
+                    + _small_diagonal([row[t:] for row in a[t:]]))
         while True:
             # first smallest |nonzero| entry of the trailing submatrix,
             # row-major; no entry beats a unit, so stop at the first one
@@ -367,7 +381,7 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
                     break
             if best == 0:
                 # the trailing submatrix is zero, and so is every later one
-                return
+                return [a[i][i] for i in range(t)]
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
             if pj != t:
@@ -420,6 +434,59 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
             a[t] = [-x for x in a[t]]
             if record:
                 rows.append((t, t, (), None, True))
+    return [a[i][i] for i in range(min(nr, nc))]
+
+
+def _small_diagonal(a: list[list[int]]) -> list[int]:
+    """The Smith diagonal of a block of one row, one column or 2 x 2.
+
+    The k-th invariant factor is g_k / g_(k-1), g_k the gcd of the k x k
+    minors (Newman, Integral Matrices, ch. II).  A single row or column
+    gives its gcd; a 2 x 2 gives g = gcd of its entries and |det| / g,
+    which is (0, 0) for g = 0 and (g, 0) for det = 0.
+    """
+    if len(a) == 1:
+        return [gcd(*a[0])]
+    if len(a[0]) == 1:
+        return [gcd(*[row[0] for row in a])]
+    (w, x), (y, z) = a
+    g = gcd(w, x, y, z)
+    return [g, abs(w * z - x * y) // g] if g else [0, 0]
+
+
+def _group_diagonal(m: IntegerMatrix) -> list[int]:
+    """The Smith diagonal of m, up to its trailing zeros, with no transforms.
+
+    While a row holds an entry u = +-1, found by `in` and list.index in
+    C, not by a scan in Python, that entry is a pivot: each other row
+    loses x * u times the pivot row, where x is its entry in the pivot
+    column, which clears that column, and column steps would then clear
+    the pivot row without changing anything else.  So the pivot's row
+    and column are dropped, the Schur complement stays, and the pivot
+    adds an invariant factor 1.  The rest goes to _eliminate without a
+    log, which ends a block of one row, one column or 2 x 2 by gcds.
+    """
+    a = [list(row) for row in m.entries()]
+    ones = []
+    while True:
+        for i, top in enumerate(a):
+            if 1 in top:
+                u = 1
+                break
+            if -1 in top:
+                u = -1
+                break
+        else:
+            break
+        del a[i]
+        j = top.index(u)
+        del top[j]
+        for k, row in enumerate(a):
+            q = row.pop(j) * u
+            if q:
+                a[k] = [y - q * z for y, z in zip(row, top)]
+        ones.append(1)
+    return ones + _eliminate(a)
 
 
 def _replay(steps: list, n: int) -> list[list[int]]:
@@ -635,37 +702,43 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     u and v are where the coefficients grow: a nonsingular square m of
     8 x 8 or more with at most a quarter of its entries zero is
     diagonalized modulo |det m| (see _diagonal_mod), where no
-    entry outgrows |det m|, and every other m by _eliminate without a
-    log, which pivots on the small entries of a sparse m.  d is unique,
-    so both routes find the d the eager form has.  The form keeps m and
-    builds u and v, equal to the eager ones, the eager way on the first
-    read of either.
+    entry outgrows |det m|.  Every other m, each surgery presentation
+    among them, takes two steps (see _group_diagonal): each entry +-1 a
+    row holds is a pivot whose row and column are dropped, and the rest
+    runs _eliminate without a log, which pivots on the small entries of
+    a sparse m and ends a block of one row, one column or 2 x 2 by
+    gcds.  Either route gives a diagonal, from which one builder makes
+    d.  d is unique, so both routes find the d the eager form has; the
+    logged elimination behind the eager form is unchanged.  The form
+    keeps m and builds u and v, equal to the eager ones, the eager way
+    on the first read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
-    # dense 8x8 in [-9, 9]: 52 us, _eliminate 62 (a singular one pays the
-    # det on top, +15-33% at 8-60); half-zero ones about tie, and sparse
-    # chain-link presentations of 8-30 components lose up to 130x
+    # dense in [-9, 9]: 60 us at 8x8 against 56 by unit pivots, about a
+    # tie to 12x12, then ahead by 20-40% from 16x16 on (a singular one
+    # pays the det on top, +15-33% at 8-60); sparse chain-link
+    # presentations of 8-30 components lost up to 130x even against
+    # _eliminate alone
     n = m.rows
     dense = n == m.cols >= 8 and 4 * sum(
         row.count(0) for row in m.entries()) <= n * n
     delta = abs(m.det()) if dense else 0
     if delta:
-        chain = [gcd(e, delta) for e in _diagonal_mod(m, delta)]
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                g = gcd(chain[i], chain[j])
-                chain[i], chain[j] = g, chain[i] * chain[j] // g
-        if prod(chain) != delta:
+        diagonal = [gcd(e, delta) for e in _diagonal_mod(m, delta)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g = gcd(diagonal[i], diagonal[j])
+                diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+        if prod(diagonal) != delta:
             # no numbers in the message: |det| may have too many digits
             raise RuntimeError("modular invariant factors do not multiply "
                                "to |det m|")
-        a = [[0] * m.cols for _ in chain]
-        for i, x in enumerate(chain):
-            a[i][i] = x
     else:
-        a = [list(row) for row in m.entries()]
-        _eliminate(a)
+        diagonal = _group_diagonal(m)
+    a = [[0] * m.cols for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        a[i][i] = x
     form = object.__new__(SmithForm)
     object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))
     object.__setattr__(form, "_m", m)
@@ -724,7 +797,8 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
     free summands, entries >= 2 contribute finite cyclic summands.  The
     group needs no transforms, so d is found from m alone
     (smith_normal_form with transforms=False): modulo |det m| for a
-    dense nonsingular square m of 8 x 8 or more, else by _eliminate.
+    dense nonsingular square m of 8 x 8 or more, else by unit pivots
+    and _eliminate without a log.
     """
     return smith_normal_form(m, transforms=False).cokernel
 

@@ -34,6 +34,7 @@ from dehnkit import (
     schubert_equivalent,
     smith_normal_form,
     surgered_homology,
+    verify_family,
 )
 
 WIDE_RANGE = [n for n in range(-25, 26) if n not in (0, 1)]
@@ -182,3 +183,14 @@ def test_criterion_8_slope_suite():
         "exactly {1/1, -1/1}",
         ok,
     )
+
+
+def test_criterion_9_family_sweeps_far_out():
+    # 100 consecutive n near -10^50, n = -10^50 - 125 among them, and
+    # 100 near 10^6: each cross-checked against the closed forms
+    ok = True
+    for lo in (-10 ** 50 - 130, 10 ** 6):
+        reports, failures = verify_family(lo, lo + 99)
+        ok = ok and failures == [] and len(reports) == 100
+    report("criterion 9: verify_family without failures on 100 n near "
+           "-10^50 and 100 near 10^6", ok)

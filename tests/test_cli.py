@@ -188,11 +188,58 @@ def test_snf_from_file(tmp_path, capsys):
     assert out == "diagonal: 1 6\ncokernel: Z/6\n"
 
 
+def stdin_of(data: bytes):
+    """A stdin holding data, whose text layer decodes as Python's does in
+    UTF-8 mode: with surrogateescape, so no byte fails to decode there."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors="surrogateescape")
+
+
 def test_snf_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(matrix_doc([[0, 0, 0]])))
+    monkeypatch.setattr("sys.stdin",
+                        stdin_of(matrix_doc([[0, 0, 0]]).encode()))
     code, out, _ = run(capsys, "snf", "--input", "-")
     assert code == 0
     assert out == "diagonal: 0\ncokernel: Z^3\n"
+
+
+# (command, a document holding the byte 0xff, the byte's position)
+UNDECODABLE = {
+    "bare-byte": ("snf", b"\xff", 0),
+    # a link document whose label holds the byte was accepted from stdin
+    "link-label": (
+        "surgery",
+        b'{"components": 1, "linking": [[0]], "labels": ["\xff"]}', 48),
+    # and in a string entry it read as "'\\udcff' is not a decimal integer"
+    "string-entry": (
+        "snf", b'{"rows": 1, "cols": 1, "entries": [["1\xff"]]}', 38),
+}
+
+
+def undecodable(position):
+    return (2, "", "error: 'utf-8' codec can't decode byte 0xff in "
+            f"position {position}: invalid start byte\n")
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_stdin_and_a_file_decode_alike(name, tmp_path, capsys, monkeypatch):
+    command, data, position = UNDECODABLE[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert run(capsys, command, "--input", str(path)) == undecodable(position)
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    assert run(capsys, command, "--input", "-") == undecodable(position)
+
+
+def test_a_process_decodes_its_stdin_strictly():
+    # the real stdin of a child, with no locale set: UTF-8 mode
+    env = {**child_env(), "PYTHONUTF8": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dehnkit", "snf", "--input", "-"],
+        input=b"\xff", env=env, capture_output=True, timeout=120)
+    code, out, err = undecodable(0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), err.encode())
 
 
 def test_snf_json_carries_transforms(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pickle
 import random
 import signal
 import threading
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -550,12 +550,33 @@ def test_a_failed_u_replay_reaps_the_child_and_raises(forks, monkeypatch,
     assert len(forks) == 1
 
 
+def ring_presentation(rng, k, necklace=False, open_components=0):
+    """The presentation of a chain (or a necklace) of k unknots.
+
+    Each component links its neighbours once, and a necklace closes the
+    ring; every filling is n/1 for n in [-7, 7] but for one in four
+    n/2, and the last open_components components stay unfilled.
+    """
+    link = FramedLink([
+        [int(abs(i - j) == 1 or necklace and abs(i - j) == k - 1)
+         for j in range(k)] for i in range(k)])
+    fills = {}
+    for i in range(k - open_components):
+        q = 2 if rng.random() < 0.25 else 1
+        p = rng.choice([p for p in range(-7, 8) if gcd(p, q) == 1])
+        fills[i] = f"{p}/{q}"
+    return build_presentation(link, fills)
+
+
 def group_only_inputs():
     """Seeded matrices past the 7 x 7 cap of minors_gcd_oracle.
 
     Square up to 24 x 24, rectangular both ways, rank-deficient
     products of a tall and a wide factor, and matrices with no rows or
-    no columns.
+    no columns.  Then the shapes of the gcd finish: unit-heavy chain
+    and necklace presentations of 2 to 30 components, one row or one
+    column, 2 x 2 blocks of det 0 or all zero, alone and behind unit
+    pivots, and dense singular or rectangular matrices.
     """
     rng = random.Random(20261019)
 
@@ -573,6 +594,21 @@ def group_only_inputs():
     for k in (1, 5, 12):
         yield IntegerMatrix([], k)
         yield IntegerMatrix([[]] * k, 0)
+    for k in (2, 3, 7, 16, 30):
+        for necklace in (False, True):
+            yield ring_presentation(rng, k, necklace)
+        yield ring_presentation(rng, k, open_components=k // 3 or 1)
+    for r, c in ((1, 1), (1, 6), (6, 1), (1, 9), (9, 1)):
+        yield IntegerMatrix(rand(r, c, 10 ** 20), c)
+        yield IntegerMatrix([[0] * c] * r, c)
+    for block in ([0, 0], [0, 0]), ([6, -4], [-9, 6]), ([0, 0], [0, 5]):
+        yield IntegerMatrix(block)
+        behind = [[int(i == j) for j in range(5)] for i in range(3)]
+        behind += [[0, 0, 0, *row] for row in block]
+        yield (unimodular(rng, 5) * IntegerMatrix(behind)
+               * unimodular(rng, 5))
+    yield IntegerMatrix(rand(12, 15), 15)
+    yield IntegerMatrix(rand(20, 19), 19) * IntegerMatrix(rand(19, 20), 20)
 
 
 def test_group_only_form_defers_the_eager_transforms(monkeypatch):
@@ -594,6 +630,65 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         assert form.u * m * form.v == form.d
         deficits.add(min(m.rows, m.cols) - eager.rank)
     assert max(deficits) > 0, "no rank-deficient input"
+
+
+def test_every_block_the_gcd_finish_takes(monkeypatch):
+    # group_only_inputs() takes the gcd finish through each of its
+    # cases: 1 x 1, one row, one column, and 2 x 2 of det != 0, of
+    # det 0 and all zero
+    blocks = []
+    real = matrices._small_diagonal
+
+    def spy(a):
+        blocks.append(a)
+        return real(a)
+
+    monkeypatch.setattr(matrices, "_small_diagonal", spy)
+    for m in group_only_inputs():
+        smith_normal_form(m, transforms=False)
+    shapes = {(min(len(a), 3), min(len(a[0]), 3)) for a in blocks}
+    assert {(1, 1), (1, 3), (3, 1), (2, 2)} <= shapes
+    squares = [a for a in blocks if (len(a), len(a[0])) == (2, 2)]
+    dets = [a[0][0] * a[1][1] - a[0][1] * a[1][0] for a in squares]
+    assert [[0, 0], [0, 0]] in squares
+    assert any(d == 0 and any(map(any, a)) for a, d in zip(squares, dets))
+    assert any(d != 0 for d in dets)
+
+
+def family_presentations(n):
+    """The exterior and its two closings, x -> 1/0 and x -> 0/1."""
+    link, fills = mn_framed_link(n)
+    return [build_presentation(link, fills),
+            *(fill_remaining(link, fills, {"x": closing})
+              for closing in (MERIDIAN, LONGITUDE))]
+
+
+def test_family_forms_take_no_euclid_pass(monkeypatch):
+    # the longitude closing of n = -10^50 - 125 once reran its last
+    # pivot 85 times; now every family remainder after the unit pivots
+    # goes whole to the gcd finish, which _eliminate reaches at t = 0,
+    # before its first pass
+    window = range(-10 ** 50 - 130, -10 ** 50 - 30)
+    inputs = [m for n in window for m in family_presentations(n)]
+    assert family_presentations(-10 ** 50 - 125)[2] in inputs
+    entered, finished = [], []
+    real_eliminate, real_small = matrices._eliminate, matrices._small_diagonal
+
+    def eliminate(a, *log):
+        entered.append([row[:] for row in a])
+        return real_eliminate(a, *log)
+
+    def small(a):
+        finished.append(a)
+        return real_small(a)
+
+    monkeypatch.setattr(matrices, "_eliminate", eliminate)
+    monkeypatch.setattr(matrices, "_small_diagonal", small)
+    forms = [smith_normal_form(m, transforms=False) for m in inputs]
+    assert len(entered) == len(inputs) and finished == entered
+    monkeypatch.undo()
+    for m, form in zip(inputs, forms):
+        assert form.d == smith_normal_form(m).d
 
 
 def unimodular(rng, k):
@@ -643,9 +738,8 @@ def test_modular_route_matches_eliminate(monkeypatch):
 
     monkeypatch.setattr(matrices, "_diagonal_mod", spy)
     for m in inputs:
-        a = [list(row) for row in m.entries()]
-        matrices._eliminate(a)
-        assert smith_normal_form(m, transforms=False).d == IntegerMatrix(a)
+        eager = smith_normal_form(m)
+        assert smith_normal_form(m, transforms=False).d == eager.d
     assert taken == inputs
     dets = [m.det() for m in inputs]
     assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
@@ -702,14 +796,18 @@ def test_modular_route_gate(monkeypatch):
 
 
 def test_modular_route_agrees_with_sympy():
-    # a third route past the 7 x 7 cap of minors_gcd_oracle; sympy is a
-    # test oracle only, never a dependency
+    # a third route past the 7 x 7 cap of minors_gcd_oracle, for both
+    # group-only routes; sympy is a test oracle only, never a dependency
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
     rng = random.Random(2024)
     inputs = [nonsingular(rng, k) for k in (8, 11, 17, 23, 30)]
     inputs += [unimodular(rng, k) * diag(*[1] * (k - 3), 4, 12, 36)
                * unimodular(rng, k) for k in (9, 15)]
+    inputs += [ring_presentation(rng, 16, necklace=True), dense(5, 12, 15),
+               dense(6, 20, 19) * dense(7, 19, 20),
+               *family_presentations(-10 ** 50 - 125)]
+    assert inputs[-4].det() == 0
     for m in inputs:
         factors = invariant_factors(
             sympy.Matrix([list(row) for row in m.entries()]),

@@ -152,6 +152,7 @@ TAKES_INTEGERS_ONLY = {
     "AbelianGroup-str-factor": (AbelianGroup, 0, ("4",)),
     "AbelianGroup-bool-rank": (AbelianGroup, True, ()),
     "AbelianGroup-bool-factor": (AbelianGroup, 0, (2, True)),
+    "Slope-float-p": (Slope, 2.5, 1),
     "Slope-bool-p": (Slope, True, 2),
     "Slope-bool-q": (Slope, 1, True),
     # a generator: the check runs on the first next()
@@ -182,9 +183,22 @@ TAKES_INTEGERS_ONLY = {
     "ConwayWord.parse-int": (ConwayWord.parse, 3),
 }
 
-# the message of a text parser's row; a boolean row's is "True is not
-# an integer", and both name the refused value
+# the message of every row but a boolean one, whose is "True is not an
+# integer": each names the refused value
 NAMES_THE_VALUE = {
+    "AbelianGroup-float-factor": "2.7 is not an integer",
+    "AbelianGroup-float-rank": "1.5 is not an integer",
+    "AbelianGroup-str-factor": "'4' is not an integer",
+    "Slope-float-p": "2.5 is not an integer",
+    "canonical_slopes-float": "1.0 is not an integer",
+    "canonical_slopes-str": "'1' is not an integer",
+    "SlopeInvolution-float": "1.0 is not an integer",
+    "fixed_slopes-float": "2.5 is not an integer",
+    "FramedLink.index-float": "1.7 is not an integer",
+    "ConwayWord-float": "2.5 is not an integer",
+    "continued_fraction-float": "2.5 is not an integer",
+    "SchubertForm-float-p": "1.0 is not an integer",
+    "SchubertForm-float-q": "2.0 is not an integer",
     "Slope.parse-int": "3 is not a string",
     "Slope.parse-bytes": "b'3/2' is not a string",
     "FramedLink.resolve_fillings-int": "3 is not a string",
@@ -198,7 +212,6 @@ def test_value_types_take_integers_only(name):
     if "-bool" in name:
         message = "True is not an integer"
     else:
-        message = NAMES_THE_VALUE.get(name)
-    match = message and f"^{re.escape(message)}$"
-    with pytest.raises(TypeError, match=match):
+        message = NAMES_THE_VALUE[name]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(*args)
