@@ -51,8 +51,9 @@ group_only = smith_normal_form(big, transforms=False)
 print(f"  without transforms: {group_only.diagonal}")
 assert group_only.d == smith_normal_form(big).d
 
-# without transforms, a dense nonsingular square matrix of 8x8 or more
-# is diagonalized modulo |det|, so no entry outgrows the determinant
+# without transforms, the entries +-1 are dropped with their rows and
+# columns, and a dense nonsingular square rest larger than 2x2 is
+# diagonalized modulo its |det|, so no entry outgrows the determinant
 print()
 print("-- group only, modulo |det| --")
 rng = random.Random(12)

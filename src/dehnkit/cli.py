@@ -162,8 +162,8 @@ def _cmd_snf(args) -> tuple[dict, str]:
     }
     if args.json:
         payload.update(u=snf.u, d=snf.d, v=snf.v)
-    text = f"diagonal: {' '.join(payload['diagonal'])}\ncokernel: {group}"
-    return payload, text
+    diagonal = " ".join(["diagonal:", *payload["diagonal"]])
+    return payload, f"{diagonal}\ncokernel: {group}"
 
 
 def _load_surgery(args):

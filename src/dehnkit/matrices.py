@@ -13,13 +13,14 @@ builds U from the row steps and V from the column steps, each from
 the last step back, where the many late steps act on small numbers.
 The two replays share nothing, so for a large M a forked child may
 build V while this process builds U, with the same result (see
-_full_smith).  D alone never touches that log.  A nonsingular square
-M of 8 x 8 or more with at most a quarter of its entries zero is
-eliminated keeping every entry modulo |det M|; any other M first
-drops each entry +-1 with its row and column (a Schur complement),
-then runs the elimination without the log, and a last block of one
-row, one column or 2 x 2 ends by gcds.  A form built either way makes
-U and V, by the unchanged logged elimination, only if they are read.
+_full_smith).  D alone never touches that log.  It takes one route:
+each entry +-1 is dropped with its row and column (a Schur
+complement), and the rest picks its finish.  A nonsingular square
+rest larger than 2 x 2 with at most a quarter of its entries zero is
+eliminated keeping every entry modulo its |det|; any other rest runs
+the elimination without the log, and a block of one row, one column
+or 2 x 2 ends by gcds.  A form found so makes U and V, by the
+unchanged logged elimination, only if they are read.
 From D the cokernel Z^cols / rowspan(M) is read off as an abelian
 group, which needs no transforms.  A second, independent route to the
 same invariant factors (gcds of k x k minors) is provided for
@@ -270,8 +271,8 @@ class SmithForm(_Value):
 
     u and v are unimodular, d is diagonal with nonnegative entries and
     each diagonal entry divides the next.  A form made by
-    smith_normal_form(m, transforms=False) has d from either of its
-    routes and holds m in its slot _m.  Its u and v slots stay empty
+    smith_normal_form(m, transforms=False) has d from _group_diagonal
+    and holds m in its slot _m.  Its u and v slots stay empty
     until the first read of either builds both the eager way (see
     __getattr__).
     """
@@ -463,8 +464,11 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     column, which clears that column, and column steps would then clear
     the pivot row without changing anything else.  So the pivot's row
     and column are dropped, the Schur complement stays, and the pivot
-    adds an invariant factor 1.  The rest goes to _eliminate without a
-    log, which ends a block of one row, one column or 2 x 2 by gcds.
+    adds an invariant factor 1.  The rest then picks its finish: a
+    square rest larger than 2 x 2 with at most a quarter of its entries
+    zero and det != 0 is diagonalized modulo |det| (_diagonal_mod),
+    and any other goes to _eliminate without a log, which ends a block
+    of one row, one column or 2 x 2 by gcds.
     """
     a = [list(row) for row in m.entries()]
     ones = []
@@ -486,6 +490,12 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
             if q:
                 a[k] = [y - q * z for y, z in zip(row, top)]
         ones.append(1)
+    n = len(a)
+    if n > 2 and n == len(a[0]) and 4 * sum(
+            row.count(0) for row in a) <= n * n:
+        delta = abs(IntegerMatrix._trusted(a, n).det())
+        if delta:
+            return ones + _diagonal_mod(a, delta)
     return ones + _eliminate(a)
 
 
@@ -647,23 +657,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, (g - s * a) // b
 
 
-def _diagonal_mod(m: IntegerMatrix, delta: int) -> list[int]:
-    """Diagonal entries e_t of m brought to diagonal form modulo delta.
+def _diagonal_mod(a: list[list[int]], delta: int) -> list[int]:
+    """The Smith diagonal of the square a, |det a| = delta != 0, modulo delta.
 
-    delta = |det m| != 0, and delta * I = +-adj(m) * m, so delta * Z^n
-    lies in the row span of m, coker m = coker [m; delta * I], and every
-    entry may be kept reduced modulo delta.  The first column is cleared
-    by 2 x 2 row combinations [[s, u], [-b/g, a/g]] of determinant 1
-    from _xgcd(a, b), or by the exact quotient where the pivot a divides
-    b.  If the pivot then fails to divide its row, the block is
-    transposed, which keeps its Smith form, and the row is cleared as a
-    column; each such pass replaces the pivot by a proper divisor, so
-    the passes end.  Once the pivot divides its row, column steps that
+    delta * I = +-adj(a) * a, so delta * Z^n lies in the row span of a,
+    coker a = coker [a; delta * I], and every entry may be kept reduced
+    modulo delta.  The first column is cleared by 2 x 2 row
+    combinations [[s, u], [-b/g, p/g]] of determinant 1 from
+    _xgcd(p, b), or by the exact quotient where the pivot p divides b.
+    If the pivot then fails to divide its row, the block is transposed,
+    which keeps its Smith form, and the row is cleared as a column;
+    each such pass replaces the pivot by a proper divisor, so the
+    passes end.  Once the pivot divides its row, column steps that
     change nothing else would clear it; the pivot is e_t, and the
-    trailing block goes on.  Z^n / (row span of m) is then the sum of
-    the Z / gcd(e_t, delta).
+    trailing block goes on.  Z^n / (row span of a) is then the sum of
+    the Z / gcd(e_t, delta), put into a divisibility chain by gcd and
+    lcm, and RuntimeError is raised unless they multiply to delta.
     """
-    a = [[x % delta for x in row] for row in m.entries()]
+    a = [[x % delta for x in row] for row in a]
     diagonal = []
     while a:
         while True:
@@ -685,8 +696,15 @@ def _diagonal_mod(m: IntegerMatrix, delta: int) -> list[int]:
             if not (any(x % p for x in top[1:]) if p else any(top[1:])):
                 break
             a = [list(col) for col in zip(*a)]
-        diagonal.append(p)
+        diagonal.append(gcd(p, delta))
         a = [row[1:] for row in a[1:]]
+    for i, j in combinations(range(len(diagonal)), 2):
+        g = gcd(diagonal[i], diagonal[j])
+        diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
+    if prod(diagonal) != delta:
+        # no numbers in the message: |det| may have too many digits
+        raise RuntimeError("modular invariant factors do not multiply "
+                           "to |det m|")
     return diagonal
 
 
@@ -699,45 +717,22 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     rule.  For a large m a forked child may build v while this process
     builds u, with the same result (see _full_smith).  With
     transforms=False d alone is found, at a fraction of the cost, since
-    u and v are where the coefficients grow: a nonsingular square m of
-    8 x 8 or more with at most a quarter of its entries zero is
-    diagonalized modulo |det m| (see _diagonal_mod), where no
-    entry outgrows |det m|.  Every other m, each surgery presentation
-    among them, takes two steps (see _group_diagonal): each entry +-1 a
-    row holds is a pivot whose row and column are dropped, and the rest
-    runs _eliminate without a log, which pivots on the small entries of
-    a sparse m and ends a block of one row, one column or 2 x 2 by
-    gcds.  Either route gives a diagonal, from which one builder makes
-    d.  d is unique, so both routes find the d the eager form has; the
+    u and v are where the coefficients grow, by one route
+    (_group_diagonal): each entry +-1 is a pivot whose row and column
+    are dropped, and the rest is diagonalized modulo its |det| where it
+    is square, larger than 2 x 2, at most a quarter zero and
+    nonsingular, so that no entry outgrows |det|, and else runs
+    _eliminate without a log, which pivots on the small entries of a
+    sparse rest and ends a block of one row, one column or 2 x 2 by
+    gcds.  d is unique, so this finds the d the eager form has; the
     logged elimination behind the eager form is unchanged.  The form
     keeps m and builds u and v, equal to the eager ones, the eager way
     on the first read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
-    # dense in [-9, 9]: 60 us at 8x8 against 56 by unit pivots, about a
-    # tie to 12x12, then ahead by 20-40% from 16x16 on (a singular one
-    # pays the det on top, +15-33% at 8-60); sparse chain-link
-    # presentations of 8-30 components lost up to 130x even against
-    # _eliminate alone
-    n = m.rows
-    dense = n == m.cols >= 8 and 4 * sum(
-        row.count(0) for row in m.entries()) <= n * n
-    delta = abs(m.det()) if dense else 0
-    if delta:
-        diagonal = [gcd(e, delta) for e in _diagonal_mod(m, delta)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                g = gcd(diagonal[i], diagonal[j])
-                diagonal[i], diagonal[j] = g, diagonal[i] * diagonal[j] // g
-        if prod(diagonal) != delta:
-            # no numbers in the message: |det| may have too many digits
-            raise RuntimeError("modular invariant factors do not multiply "
-                               "to |det m|")
-    else:
-        diagonal = _group_diagonal(m)
-    a = [[0] * m.cols for _ in range(n)]
-    for i, x in enumerate(diagonal):
+    a = [[0] * m.cols for _ in range(m.rows)]
+    for i, x in enumerate(_group_diagonal(m)):
         a[i][i] = x
     form = object.__new__(SmithForm)
     object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))

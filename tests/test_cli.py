@@ -188,6 +188,14 @@ def test_snf_from_file(tmp_path, capsys):
     assert out == "diagonal: 1 6\ncokernel: Z/6\n"
 
 
+def test_snf_of_a_matrix_without_rows(tmp_path, capsys):
+    # an empty diagonal leaves no space after the colon
+    path = tmp_path / "m.json"
+    path.write_text(matrix_doc([], 3))
+    code, out, _ = run(capsys, "snf", "--input", str(path))
+    assert (code, out) == (0, "diagonal:\ncokernel: Z^3\n")
+
+
 def stdin_of(data: bytes):
     """A stdin holding data, whose text layer decodes as Python's does in
     UTF-8 mode: with surrogateescape, so no byte fails to decode there."""

@@ -1,7 +1,5 @@
-import copy
 import hashlib
 import os
-import pickle
 import random
 import signal
 import threading
@@ -120,17 +118,6 @@ def test_immutability():
     assert m == IntegerMatrix([[1]])
 
 
-def test_matrix_survives_copy_and_pickle():
-    m = IntegerMatrix([[1, -2], [3, 10 ** 40]])
-    for twin in (copy.copy(m), copy.deepcopy(m),
-                 pickle.loads(pickle.dumps(m))):
-        assert twin == m and (twin.rows, twin.cols) == (2, 2)
-        with pytest.raises(AttributeError):
-            twin.rows = 3
-    empty = IntegerMatrix([], 4)
-    assert pickle.loads(pickle.dumps(empty)) == empty
-
-
 def test_multiplication():
     a = IntegerMatrix([[1, 2], [3, 4]])
     b = IntegerMatrix([[5], [6]])
@@ -206,14 +193,24 @@ def test_snf_shapes():
         assert_snf_contract(m)
 
 
-def test_snf_property_suite():
+def test_snf_property_suite(monkeypatch):
     rng = random.Random(101)
+    modular = []
+    real = matrices._diagonal_mod
+
+    def spy(a, delta):
+        modular.append(a)
+        return real(a, delta)
+
+    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
     for _ in range(1200):
         m = random_matrix(rng)
         snf = assert_snf_contract(m)
         assert cokernel(m) == minors_gcd_oracle(m)
         # rank from the oracle agrees with the diagonal
         assert snf.rank == sum(1 for x in snf.diagonal if x)
+    # the modular finish runs under the oracle's 7 x 7 cap too
+    assert modular
 
 
 def unit_rich_matrix(rng):
@@ -708,96 +705,106 @@ def nonsingular(rng, k, bound=9):
             return m
 
 
-def modular_route_inputs():
-    """Nonsingular square matrices from 8 x 8 to 40 x 40.
+def unit_free(rng, k):
+    """The rows of a k x k of entries 2..9 in absolute value: no unit."""
+    return [[rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(k)]
+            for _ in range(k)]
 
-    Dense ones with entries in [-9, 9], A * diag(1, ..., 1, tail) * B
-    with unimodular A and B and non-generic tails (an empty tail makes
-    |det| = 1), and 8 x 8 ones with entries near 10^30.
+
+def route_rows():
+    """(name, inputs, the finish each rest takes after the unit pivots).
+
+    A finish is modular (_diagonal_mod), gcd (_eliminate hands its whole
+    block to _small_diagonal), euclid (_eliminate runs a pass first) or
+    none (the unit pivots use up every row or every column).
     """
     rng = random.Random(1991)
-    for k in (8, 9, 12, 16, 24, 32, 40):
-        yield nonsingular(rng, k)
-    for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3),
-                 (4, 12, 36), ()):
-        for k in (8, 13, 20):
-            ones = [1] * (k - len(tail))
-            yield unimodular(rng, k) * diag(*ones, *tail) * unimodular(rng, k)
-    for _ in range(4):
-        yield nonsingular(rng, 8, 10 ** 30)
-
-
-def test_modular_route_matches_eliminate(monkeypatch):
-    inputs = list(modular_route_inputs())
-    taken = []
-    real = matrices._diagonal_mod
-
-    def spy(m, delta):
-        taken.append(m)
-        return real(m, delta)
-
-    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
-    for m in inputs:
-        eager = smith_normal_form(m)
-        assert smith_normal_form(m, transforms=False).d == eager.d
-    assert taken == inputs
-    dets = [m.det() for m in inputs]
-    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
-
-
-def test_modular_route_does_not_fall_back(monkeypatch):
-    m = nonsingular(random.Random(12), 12)
-    eager = smith_normal_form(m)
-
-    def refuse(*args):
-        raise AssertionError("group-only form fell back to _eliminate")
-
-    monkeypatch.setattr(matrices, "_eliminate", refuse)
-    assert smith_normal_form(m, transforms=False).d == eager.d
-    assert cokernel(m) == eager.cokernel
-
-
-def test_modular_route_gate(monkeypatch):
-    rng = random.Random(10)
-    singular = (IntegerMatrix([[rng.randint(-9, 9) for _ in range(9)]
-                               for _ in range(10)])
-                * IntegerMatrix([[rng.randint(-9, 9) for _ in range(10)]
-                                 for _ in range(9)]))
-    below = nonsingular(rng, 7)
-    # a 12-component chain link on small integral framings: nonsingular,
-    # and 110 of its 144 entries are zero
-    link = FramedLink([[int(abs(i - j) == 1) for j in range(12)]
-                       for i in range(12)])
-    chain = build_presentation(link, {
-        i: f"{rng.choice((-1, 1)) * rng.randint(2, 7)}/1" for i in range(12)})
+    yield "dense 8..40", [nonsingular(rng, k)
+                          for k in (8, 9, 12, 16, 24, 32, 40)], "modular"
+    yield "near 10^30", [nonsingular(rng, 8, 10 ** 30)
+                         for _ in range(4)], "modular"
+    # A * diag(1, ..., 1, tail) * B with unimodular A and B and
+    # non-generic tails; an empty tail makes |det| = 1
+    yield "non-generic", [
+        unimodular(rng, k) * diag(*[1] * (k - len(tail)), *tail)
+        * unimodular(rng, k)
+        for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3),
+                     (4, 12, 36), ())
+        for k in (8, 13, 20)], "modular"
+    while True:
+        five = IntegerMatrix(unit_free(rng, 5))
+        if five.det():
+            break
+    yield "unit-free 5x5", [five], "modular"
     while True:
         # zeros on exactly a quarter of an 8 x 8, then on one entry more
-        rows = [[0 if (i + 2 * j) % 4 == 0 else rng.randint(-9, 9) or 1
-                 for j in range(8)] for i in range(8)]
+        rows = unit_free(rng, 8)
+        for i in range(8):
+            for j in range(8):
+                if (i + 2 * j) % 4 == 0:
+                    rows[i][j] = 0
         quarter = IntegerMatrix(rows)
         rows[0][1] = 0
         more = IntegerMatrix(rows)
         if quarter.det() and more.det():
             break
-    assert singular.det() == 0 and (below.rows, below.cols) == (7, 7)
-    assert chain.det() and sum(row.count(0) for row in chain.entries()) == 110
-    taken = []
-    real = matrices._diagonal_mod
+    yield "quarter zero", [quarter], "modular"
+    yield "over a quarter zero", [more], "euclid"
+    yield "singular 20x20", [dense(6, 20, 19) * dense(7, 19, 20)], "euclid"
+    # a chain of 9 unknots linking their neighbours twice, on framings
+    # +-3..+-9: nonsingular, and no entry is +-1
+    link = FramedLink([[2 * (abs(i - j) == 1) for j in range(9)]
+                       for i in range(9)])
+    yield "unit-free chain", [build_presentation(link, {
+        i: f"{rng.choice((-1, 1)) * rng.randint(3, 9)}/1"
+        for i in range(9)})], "euclid"
+    yield "dense 12x15", [dense(5, 12, 15)], "euclid"
+    yield "family", [m for n in (2, 3, -7, 10 ** 6, -10 ** 50 - 125)
+                     for m in family_presentations(n)], "gcd"
+    yield "units use every row or column", [
+        IntegerMatrix([[1], [2], [3]]), IntegerMatrix([[1, 4, 6]])], "none"
 
-    def spy(m, delta):
-        taken.append(m)
-        return real(m, delta)
 
-    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
-    for m in (singular, below, chain, quarter, more):
-        eager = smith_normal_form(m)
-        assert smith_normal_form(m, transforms=False).d == eager.d
-    assert taken == [quarter]
+def test_group_only_routes(monkeypatch):
+    # the rest after the unit pivots alone picks the finish, and every
+    # finish gives the eager d
+    calls = []
+
+    def spy(name):
+        real = getattr(matrices, name)
+
+        def call(a, *args):
+            calls.append((name, [list(row) for row in a]))
+            return real(a, *args)
+        return call
+
+    rows = list(route_rows())
+    eager = [[smith_normal_form(m).d for m in inputs] for _, inputs, _ in rows]
+    for name in ("_eliminate", "_small_diagonal", "_diagonal_mod"):
+        monkeypatch.setattr(matrices, name, spy(name))
+    dets = []
+    for (row, inputs, expected), ds in zip(rows, eager):
+        for m, d in zip(inputs, ds):
+            calls.clear()
+            assert smith_normal_form(m, transforms=False).d == d, row
+            (first, block), *rest = calls
+            if first == "_diagonal_mod" and not rest:
+                finish = "modular"
+                dets.append(m.det())
+            elif not block or not block[0]:
+                finish = "none"
+            elif rest == [("_small_diagonal", block)]:
+                finish = "gcd"
+            else:
+                finish = "euclid"
+            assert finish == expected, row
+    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
 
 
 def test_modular_route_agrees_with_sympy():
-    # a third route past the 7 x 7 cap of minors_gcd_oracle, for both
-    # group-only routes; sympy is a test oracle only, never a dependency
+    # a third route past the 7 x 7 cap of minors_gcd_oracle, for each
+    # finish of the group-only route; sympy is a test oracle only (the
+    # test extra installs it), never a dependency
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
     rng = random.Random(2024)
@@ -814,17 +821,6 @@ def test_modular_route_agrees_with_sympy():
             domain=sympy.ZZ)
         expected = tuple(abs(int(x)) for x in factors)
         assert smith_normal_form(m, transforms=False).diagonal == expected
-
-
-def test_smith_forms_survive_copy_and_pickle():
-    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    eager = smith_normal_form(m)
-    for form in (eager, smith_normal_form(m, transforms=False)):
-        for twin in (copy.copy(form), copy.deepcopy(form),
-                     pickle.loads(pickle.dumps(form))):
-            # copying a group-only form reads, and so builds, u and v
-            assert (twin.u, twin.d, twin.v) == (eager.u, eager.d, eager.v)
-            assert twin.cokernel == eager.cokernel
 
 
 def test_cokernel_invariant_under_row_operations():

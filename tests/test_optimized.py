@@ -38,9 +38,11 @@ def test_modular_route_rejects_a_wrong_chain(tmp_path, monkeypatch):
             break
     path = tmp_path / "m.json"
     path.write_text(json.dumps(m.to_doc()))
-    # every e_t = 1 makes a chain of ones, whose product is not |det|
+    # reduced modulo twice its |det|, the rest still finds its own
+    # invariant factors, whose product is not the delta it was given
+    real = matrices._diagonal_mod
     monkeypatch.setattr(matrices, "_diagonal_mod",
-                        lambda m, delta: [1] * m.rows)
+                        lambda a, delta: real(a, 2 * delta))
     error = re.escape("modular invariant factors do not multiply to |det m|")
     with pytest.raises(RuntimeError, match=error):
         smith_normal_form(m, False)
