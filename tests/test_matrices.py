@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import random
 import signal
 import threading
@@ -116,6 +118,17 @@ def test_immutability():
             delattr(m, name)
     assert (m.rows, m.cols, str(m)) == (1, 1, "[ 1 ]")
     assert m == IntegerMatrix([[1]])
+
+
+def test_matrix_survives_copy_and_pickle():
+    m = IntegerMatrix([[1, -2], [3, 10 ** 40]])
+    for twin in (copy.copy(m), copy.deepcopy(m),
+                 pickle.loads(pickle.dumps(m))):
+        assert twin == m and (twin.rows, twin.cols) == (2, 2)
+        with pytest.raises(AttributeError):
+            twin.rows = 3
+    empty = IntegerMatrix([], 4)
+    assert pickle.loads(pickle.dumps(empty)) == empty
 
 
 def test_multiplication():
@@ -765,7 +778,40 @@ def route_rows():
         IntegerMatrix([[1], [2], [3]]), IntegerMatrix([[1, 4, 6]])], "none"
 
 
-def test_group_only_routes(monkeypatch):
+def test_modular_route_matches_eliminate(monkeypatch):
+    inputs = [m for _, ms, finish in route_rows() if finish == "modular"
+              for m in ms]
+    taken = []
+    real = matrices._diagonal_mod
+
+    def spy(a, delta):
+        taken.append(a)
+        return real(a, delta)
+
+    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
+    for m in inputs:
+        a = [list(row) for row in m.entries()]
+        # given the step logs, _eliminate leaves d in a
+        matrices._eliminate(a, [], [])
+        assert smith_normal_form(m, transforms=False).d == IntegerMatrix(a)
+    assert len(taken) == len(inputs)
+    dets = [m.det() for m in inputs]
+    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
+
+
+def test_modular_route_does_not_fall_back(monkeypatch):
+    m = nonsingular(random.Random(12), 12)
+    eager = smith_normal_form(m)
+
+    def refuse(*args):
+        raise AssertionError("group-only form fell back to _eliminate")
+
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
+    assert smith_normal_form(m, transforms=False).d == eager.d
+    assert cokernel(m) == eager.cokernel
+
+
+def test_modular_route_gate(monkeypatch):
     # the rest after the unit pivots alone picks the finish, and every
     # finish gives the eager d
     calls = []
@@ -782,7 +828,6 @@ def test_group_only_routes(monkeypatch):
     eager = [[smith_normal_form(m).d for m in inputs] for _, inputs, _ in rows]
     for name in ("_eliminate", "_small_diagonal", "_diagonal_mod"):
         monkeypatch.setattr(matrices, name, spy(name))
-    dets = []
     for (row, inputs, expected), ds in zip(rows, eager):
         for m, d in zip(inputs, ds):
             calls.clear()
@@ -790,7 +835,6 @@ def test_group_only_routes(monkeypatch):
             (first, block), *rest = calls
             if first == "_diagonal_mod" and not rest:
                 finish = "modular"
-                dets.append(m.det())
             elif not block or not block[0]:
                 finish = "none"
             elif rest == [("_small_diagonal", block)]:
@@ -798,7 +842,6 @@ def test_group_only_routes(monkeypatch):
             else:
                 finish = "euclid"
             assert finish == expected, row
-    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
 
 
 def test_modular_route_agrees_with_sympy():
@@ -821,6 +864,17 @@ def test_modular_route_agrees_with_sympy():
             domain=sympy.ZZ)
         expected = tuple(abs(int(x)) for x in factors)
         assert smith_normal_form(m, transforms=False).diagonal == expected
+
+
+def test_smith_forms_survive_copy_and_pickle():
+    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    eager = smith_normal_form(m)
+    for form in (eager, smith_normal_form(m, transforms=False)):
+        for twin in (copy.copy(form), copy.deepcopy(form),
+                     pickle.loads(pickle.dumps(form))):
+            # copying a group-only form reads, and so builds, u and v
+            assert (twin.u, twin.d, twin.v) == (eager.u, eager.d, eager.v)
+            assert twin.cokernel == eager.cokernel
 
 
 def test_cokernel_invariant_under_row_operations():
