@@ -13,14 +13,9 @@ builds U from the row steps and V from the column steps, each from
 the last step back, where the many late steps act on small numbers.
 The two replays share nothing, so for a large M a forked child may
 build V while this process builds U, with the same result (see
-_full_smith).  D alone never touches that log.  It takes one route:
-each entry +-1 is dropped with its row and column (a Schur
-complement), and the rest picks its finish.  A nonsingular square
-rest larger than 2 x 2 with at most a quarter of its entries zero is
-eliminated keeping every entry modulo its |det|; any other rest runs
-the elimination without the log, and a block of one row, one column
-or 2 x 2 ends by gcds.  A form found so makes U and V, by the
-unchanged logged elimination, only if they are read.
+_full_smith).  D alone never touches that log: it is found with no
+transforms by one route, _group_diagonal, and a form found so makes
+U and V, by the unchanged logged elimination, only if they are read.
 From D the cokernel Z^cols / rowspan(M) is read off as an abelian
 group, which needs no transforms.  A second, independent route to the
 same invariant factors (gcds of k x k minors) is provided for
@@ -270,20 +265,24 @@ class SmithForm(_Value):
     """The decomposition d = u * m * v of a matrix m.
 
     u and v are unimodular, d is diagonal with nonnegative entries and
-    each diagonal entry divides the next.  A form made by
-    smith_normal_form(m, transforms=False) has d from _group_diagonal
-    and holds m in its slot _m.  Its u and v slots stay empty
-    until the first read of either builds both the eager way (see
+    each diagonal entry divides the next.  diagonal holds the
+    min(rows, cols) diagonal entries of d, set once where the form is
+    made: __init__ reads them off d.  A form made by
+    smith_normal_form(m, transforms=False) has d and diagonal from
+    _group_diagonal and holds m in its slot _m.  Its u and v slots stay
+    empty until the first read of either builds both the eager way (see
     __getattr__).
     """
 
     _fields = ("u", "d", "v")
-    __slots__ = _fields + ("_m",)
+    __slots__ = _fields + ("diagonal", "_m")
 
     def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "diagonal", tuple(
+            d[i, i] for i in range(min(d.rows, d.cols))))
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks, an empty
@@ -299,23 +298,14 @@ class SmithForm(_Value):
         return u if name == "u" else v
 
     @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.d[i, i] for i in range(min(self.d.rows, self.d.cols))
-        )
-
-    @property
     def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
+        return len(self.diagonal) - self.diagonal.count(0)
 
     @property
     def cokernel(self) -> "AbelianGroup":
         """The group Z^cols / (row span of m); see cokernel()."""
-        diagonal = self.diagonal
-        return AbelianGroup(
-            self.d.cols - len(diagonal) + diagonal.count(0),
-            tuple(x for x in diagonal if x >= 2),
-        )
+        return AbelianGroup(self.d.cols - self.rank,
+                            tuple(x for x in self.diagonal if x >= 2))
 
 
 def _eliminate(a: list[list[int]], rows: list | None = None,
@@ -466,9 +456,10 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     and column are dropped, the Schur complement stays, and the pivot
     adds an invariant factor 1.  The rest then picks its finish: a
     square rest larger than 2 x 2 with at most a quarter of its entries
-    zero and det != 0 is diagonalized modulo |det| (_diagonal_mod),
-    and any other goes to _eliminate without a log, which ends a block
-    of one row, one column or 2 x 2 by gcds.
+    zero and det != 0 is diagonalized modulo |det| (_diagonal_mod), so
+    that no entry outgrows |det|, and any other, a sparse rest among
+    them, goes to _eliminate without a log, which pivots on its small
+    entries and ends a block of one row, one column or 2 x 2 by gcds.
     """
     a = [list(row) for row in m.entries()]
     ones = []
@@ -535,11 +526,15 @@ def _replay(steps: list, n: int) -> list[list[int]]:
     return x
 
 
-# the smallest min(rows, cols) whose v a forked child replays: on 2
-# CPUs, in a 22 MB process on Python 3.11, fork plus transfer lost about
-# 40% at 18 x 18 and 20 x 20 of dense [-9, 9] matrices, tied at 22 x 22,
-# and won 2-5% to 28 x 28, 12% at 32 x 32 and 30% at 60 x 60; fork
-# costs more in a larger process
+# the smallest min(rows, cols) whose v a forked child replays.  The
+# crossover, measured on 2 CPUs in a 15 MB process on Python 3.11 as
+# _full_smith of one dense [-9, 9] square matrix forked and in process,
+# alternating which goes first, with the median of the time ratios over
+# 24 matrices (12 from 48 x 48 on) for each of three seeds: fork plus
+# transfer lost 6-83% at 18 x 18 and 20 x 20 and 1-27% at 22 x 22, was
+# within 14% either way at 24 x 24 to 28 x 28, and won 5-15% at
+# 32 x 32, 7-18% at 36 x 36, 14-27% at 48 x 48 and 27-34% at 60 x 60;
+# fork costs more in a larger process
 _FORK_MIN = 24
 
 
@@ -716,26 +711,22 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     from the last step back (see _replay); see _eliminate for the pivot
     rule.  For a large m a forked child may build v while this process
     builds u, with the same result (see _full_smith).  With
-    transforms=False d alone is found, at a fraction of the cost, since
-    u and v are where the coefficients grow, by one route
-    (_group_diagonal): each entry +-1 is a pivot whose row and column
-    are dropped, and the rest is diagonalized modulo its |det| where it
-    is square, larger than 2 x 2, at most a quarter zero and
-    nonsingular, so that no entry outgrows |det|, and else runs
-    _eliminate without a log, which pivots on the small entries of a
-    sparse rest and ends a block of one row, one column or 2 x 2 by
-    gcds.  d is unique, so this finds the d the eager form has; the
-    logged elimination behind the eager form is unchanged.  The form
-    keeps m and builds u and v, equal to the eager ones, the eager way
-    on the first read of either.
+    transforms=False d and its diagonal alone are found, by
+    _group_diagonal, at a fraction of the cost, since u and v are where
+    the coefficients grow.  d is unique, so this finds the d the eager
+    form has.  The form keeps m and builds u and v, equal to the eager
+    ones, the eager way on the first read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
+    diagonal = _group_diagonal(m)
+    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
     a = [[0] * m.cols for _ in range(m.rows)]
-    for i, x in enumerate(_group_diagonal(m)):
+    for i, x in enumerate(diagonal):
         a[i][i] = x
     form = object.__new__(SmithForm)
     object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))
+    object.__setattr__(form, "diagonal", tuple(diagonal))
     object.__setattr__(form, "_m", m)
     return form
 
@@ -790,10 +781,8 @@ def cokernel(m: IntegerMatrix) -> AbelianGroup:
     Columns are generators, rows are relations.  Computed from the
     Smith diagonal: zero diagonal entries and missing pivots contribute
     free summands, entries >= 2 contribute finite cyclic summands.  The
-    group needs no transforms, so d is found from m alone
-    (smith_normal_form with transforms=False): modulo |det m| for a
-    dense nonsingular square m of 8 x 8 or more, else by unit pivots
-    and _eliminate without a log.
+    group needs no transforms, so the diagonal is found from m alone,
+    by smith_normal_form with transforms=False (see _group_diagonal).
     """
     return smith_normal_form(m, transforms=False).cokernel
 

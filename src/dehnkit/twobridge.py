@@ -42,12 +42,19 @@ class ConwayWord(_Value):
 
     @classmethod
     def parse(cls, text: str) -> "ConwayWord":
-        """Parse 'a1,a2,...' or whitespace-separated entries."""
+        """Parse entries separated by whitespace or by single commas.
+
+        '2,2,-1', '2 2 -1' and ' 2, 2 ' all parse; each entry is an
+        integer -?[0-9]+ in ASCII (doc_integer).  A comma separates two
+        entries, so '3,,3', ',3' and '3,' raise TangleError.
+        """
         if not isinstance(text, str):
             raise TypeError(f"{text!r} is not a string")
-        parts = text.replace(",", " ").split()
+        parts = [entry.split() for entry in text.split(",")]
         try:
-            return cls(tuple(map(doc_integer, parts)))
+            if not all(parts):
+                raise ValueError
+            return cls(tuple(doc_integer(x) for part in parts for x in part))
         except ValueError:
             raise TangleError(f"cannot parse Conway word from {text!r}") from None
 

@@ -560,6 +560,8 @@ GOLDEN = [
      0, "0c23e0ece6097ab5585f6c9d7504159cdd6129fca49a15e886d962ae7b02b40a"),
     (("cfrac", "3", "1", "-1"),
      2, EMPTY),
+    (("cfrac", "3,,3"),
+     2, EMPTY),
     (("twobridge", "3", "3", "-1", "3", "3"),
      0, "f0c34bf93f3164f4dd46d71ce2a5ba9f169e60bfd71f0fb2dc0b7bb5e62cbe81"),
     (("twobridge", "--json", "2", "2", "-1", "2", "2"),

@@ -86,6 +86,8 @@ def test_construction_and_access():
     assert (m.rows, m.cols) == (2, 3)
     assert m[1, 2] == 6
     assert m.entries()[0] == (1, 2, 3)
+    assert str(IntegerMatrix([], 3)) == "[0x3]"
+    assert str(IntegerMatrix([[]] * 3, 0)) == "[3x0]"
 
 
 def test_construction_errors():
@@ -636,6 +638,7 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
     for m, form, group in zip(inputs, forms, groups):
         eager = smith_normal_form(m)
         assert form.d == eager.d and group == eager.cokernel
+        assert form.diagonal == eager.diagonal and form.rank == eager.rank
         assert (form.u, form.v) == (eager.u, eager.v)
         assert form.u * m * form.v == form.d
         deficits.add(min(m.rows, m.cols) - eager.rank)

@@ -50,6 +50,7 @@ def test_word_parsing():
     assert ConwayWord.parse("2,2,-1,2,2").entries == (2, 2, -1, 2, 2)
     assert ConwayWord.parse("2 2 -1 2 2").entries == (2, 2, -1, 2, 2)
     assert ConwayWord.parse("5").entries == (5,)
+    assert ConwayWord.parse(" 2, 2 ").entries == (2, 2)
 
 
 def test_word_rejects_empty_and_junk():
@@ -57,7 +58,7 @@ def test_word_rejects_empty_and_junk():
         ConwayWord(())
     with pytest.raises(TangleError):
         ConwayWord.parse("")
-    for junk in ("2 x 2", "1_0 2", "+2", "\u0661\u0662"):
+    for junk in ("2 x 2", "1_0 2", "+2", "\u0661\u0662", "3,,3", ",3", "3,"):
         with pytest.raises(TangleError):
             ConwayWord.parse(junk)
 
