@@ -7,26 +7,31 @@ is meant to be a certificate, not an approximation.
 
 The central computation is the Smith normal form D = U * M * V with
 unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
-diagonal.  One elimination loop on a bare copy of M finds D.  For U
-and V it logs its row steps and its column steps, and one replay
-builds U from the row steps and V from the column steps, each from
-the last step back, where the many late steps act on small numbers.
-The two replays share nothing, so for a large M a forked child may
-build V while this process builds U, with the same result (see
-_full_smith).  D alone never touches that log: it is found with no
-transforms by one route, _group_diagonal, and a form found so makes
-U and V, by the unchanged logged elimination, only if they are read.
-From D the cokernel Z^cols / rowspan(M) is read off as an abelian
-group, which needs no transforms.  A second, independent route to the
-same invariant factors (gcds of k x k minors) is provided for
-cross-checking and is deliberately not implemented in terms of the
-first.
+diagonal.  U and V come by one of two routes (_full_smith).  A
+nonsingular square M takes its row Hermite form H, found modulo
+|det M| from det M and adj M, which one fraction-free Gauss-Jordan
+elimination gives: U and V then have entries about the size of
+|det M|, and only the k x k block of H's non-unit columns (k = 1 for
+most inputs whose cokernel is cyclic) is left to eliminate.  A singular or
+rectangular M, and that block, go to one elimination loop on a bare
+copy, which logs its row steps and its column steps; one replay builds
+U from the row steps and V from the column steps, each from the last
+step back, where the many late steps act on small numbers.  The two
+replays share nothing, so for a large singular or rectangular M a
+forked child may build V while this process builds U, with the same
+result (see _logged_smith).  D alone needs neither route: it is found
+with no transforms by _group_diagonal, and a form found so makes U and
+V, the eager way, only if they are read.  From D the cokernel
+Z^cols / rowspan(M) is read off as an abelian group, which needs no
+transforms.  A second, independent route to the same invariant
+factors (gcds of k x k minors) is provided for cross-checking and is
+deliberately not implemented in terms of the first.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, prod
 from operator import index
 
@@ -161,16 +166,8 @@ class IntegerMatrix(_Value):
                 f"{other.rows}x{other.cols}"
             )
         return IntegerMatrix._trusted(
-            [
-                [
-                    sum(self._data[i][k] * other._data[k][j]
-                        for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            other.cols,
-        )
+            [_combine(row, other._data, other.cols) for row in self._data],
+            other.cols)
 
     def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
         row_idx, col_idx = tuple(row_idx), tuple(col_idx)
@@ -267,11 +264,13 @@ class SmithForm(_Value):
     u and v are unimodular, d is diagonal with nonnegative entries and
     each diagonal entry divides the next.  diagonal holds the
     min(rows, cols) diagonal entries of d, set once where the form is
-    made: __init__ reads them off d.  A form made by
-    smith_normal_form(m, transforms=False) has d and diagonal from
-    _group_diagonal and holds m in its slot _m.  Its u and v slots stay
-    empty until the first read of either builds both the eager way (see
-    __getattr__).
+    made: __init__ reads them off d.  An eager form has u and v from
+    _full_smith: for a nonsingular square m from its Hermite form, with
+    entries about the size of |det m|, and else from the logged
+    elimination.  A form made by smith_normal_form(m, transforms=False)
+    has d and diagonal from _group_diagonal and holds m in its slot _m.
+    Its u and v slots stay empty until the first read of either builds
+    both the eager way, by that same _full_smith (see __getattr__).
     """
 
     _fields = ("u", "d", "v")
@@ -289,7 +288,7 @@ class SmithForm(_Value):
         # slot included: u and v of a group-only form, until this first
         # read builds them; two threads reading at once may both build,
         # and build equal ones, both without a child process, since a
-        # live second thread keeps _full_smith from forking
+        # live second thread keeps _logged_smith from forking
         if name not in ("u", "v") or not hasattr(self, "_m"):
             raise AttributeError(name)
         u, _, v = _full_smith(self._m)
@@ -526,23 +525,28 @@ def _replay(steps: list, n: int) -> list[list[int]]:
     return x
 
 
-# the smallest min(rows, cols) whose v a forked child replays.  The
-# crossover, measured on 2 CPUs in a 15 MB process on Python 3.11 as
-# _full_smith of one dense [-9, 9] square matrix forked and in process,
-# alternating which goes first, with the median of the time ratios over
-# 24 matrices (12 from 48 x 48 on) for each of three seeds: fork plus
-# transfer lost 6-83% at 18 x 18 and 20 x 20 and 1-27% at 22 x 22, was
-# within 14% either way at 24 x 24 to 28 x 28, and won 5-15% at
-# 32 x 32, 7-18% at 36 x 36, 14-27% at 48 x 48 and 27-34% at 60 x 60;
-# fork costs more in a larger process
+# the smallest min(rows, cols) whose v a forked child replays.  Only the
+# logged elimination replays: an eager singular or rectangular form, and
+# a Hermite form's block of k >= 24 non-unit columns; a nonsingular
+# square form's transforms are not replayed.  The crossover, measured on
+# 2 CPUs in a 15 MB process on Python 3.11 as the logged elimination
+# (then all of _full_smith) of one dense [-9, 9] square matrix forked
+# and in process, alternating which goes first, with the median of the
+# time ratios over 24 matrices (12 from 48 x 48 on) for each of three
+# seeds: fork plus transfer lost 6-83% at 18 x 18 and 20 x 20 and 1-27%
+# at 22 x 22, was within 14% either way at 24 x 24 to 28 x 28, and won
+# 5-15% at 32 x 32, 7-18% at 36 x 36, 14-27% at 48 x 48 and 27-34% at
+# 60 x 60; fork costs more in a larger process
 _FORK_MIN = 24
 
 
 def _may_fork() -> bool:
     """Whether a child may replay v: os.fork, one Thread, two CPUs.
 
-    Two hazards stay open.  Only threading.Thread objects are counted,
-    not threads started in C, such as pytest's faulthandler watchdog;
+    Asked only by _logged_smith, so only for an eager singular or
+    rectangular form of min(rows, cols) >= _FORK_MIN.  Two hazards stay
+    open.  Only threading.Thread objects are counted, not threads
+    started in C, such as pytest's faulthandler watchdog;
     with one live, Python 3.12+ warns at os.fork.  And _FORK_MIN was
     tuned in a 22 MB process: a caller with a larger heap pays more for
     each fork.
@@ -620,7 +624,7 @@ def _replay_forked(rows: list, cols: list, nr: int, nc: int) -> tuple:
     return ut, (v if status == 0 and len(v) == nc else None)
 
 
-def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
+def _logged_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     """(u, d, v) of m: eliminate on a copy of m, then replay its steps.
 
     u comes from _replay of the row steps in this process.  v comes from
@@ -645,6 +649,120 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
             IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc))
 
 
+def _adjugate(m: IntegerMatrix) -> tuple[int, list[list[int]]] | None:
+    """(d, r) with d = +-det m != 0 and r = d * m^-1, or None if m is singular.
+
+    A fraction-free Gauss-Jordan elimination on [m | I], square m: each
+    step turns every row but the pivot row into (p * row - f * top) /
+    prev, an exact division, so [m | I] ends as [d * I | r].  A column
+    of the right half whose row has not been a pivot yet is that row's
+    prev times a unit vector, so it is left out until its row becomes
+    the pivot, and each step costs n^2 entries, not 2 * n^2.  A pivot
+    column with no nonzero entry left shows m singular.
+    """
+    a = [list(row) for row in m.entries()]
+    n = len(a)
+    order = list(range(n))
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][0]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        order[k], order[p] = order[p], order[k]
+        pivot, *top = a[k]
+        for i, row in enumerate(a):
+            f = row[0]
+            a[i] = top + [prev] if i == k else [
+                (pivot * x - f * y) // prev
+                for x, y in zip(row[1:], top)] + [-f]
+        prev = pivot
+    # column k of the right half belongs to the k-th pivot row of m
+    place = sorted(range(n), key=order.__getitem__)
+    return prev, [[row[k] for k in place] for row in a]
+
+
+def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
+    """(u, d, v) of m; for a nonsingular square m from its Hermite form.
+
+    A rectangular or singular m (which _adjugate finds) goes to
+    _logged_smith.  Else let d and r = d * m^-1 be _adjugate's and
+    delta = |d|.  The row Hermite form H = U0 * m is found modulo delta:
+    where gcd(r) = d_1 ... d_(n-1) is 1 and an entry w_j of a column w
+    of r is prime to delta (searched from the last row of r up), the
+    row span of m is {x : x . w = 0 mod delta}, and H has the rows
+    e_i + c_i * e_j, c_i = -w_i / w_j mod delta, and delta * e_j;
+    where not, H is _hermite_mod's.  U0 = H * r / d, and RuntimeError
+    is raised unless that division is exact and H's diagonal
+    multiplies to delta, which makes det U0 = +-1.  A unit column of H
+    is a unit vector, so a unit-triangular V1 (minus the rest of H's
+    unit rows) and a permutation P, unit columns first, bring H to
+    I + B, B the k x k block of H's other rows and columns; k = 1 where
+    H is read off w.  B goes to _logged_smith as u_B * B * v_B = d_B,
+    so d = I + d_B, u = (I + u_B) * P^T * U0 and v = V1 * P * (I + v_B).
+    Every entry of U0 is at most n * max|r| and of V1 below delta.
+    """
+    n = m.rows
+    adjugate = _adjugate(m) if n == m.cols else None
+    if adjugate is None:
+        return _logged_smith(m)
+    d, r = adjugate
+    delta = abs(d)
+    hit = gcd(*chain.from_iterable(r)) == 1 and next(
+        ((j, c) for j in reversed(range(n)) for c, x in enumerate(r[j])
+         if gcd(x, delta) == 1), None)
+    if hit:
+        j, c = hit
+        inverse = pow(r[j][c], -1, delta)
+        h = [[0] * n for _ in r]
+        for i, row in enumerate(h):
+            row[i] = 1
+            row[j] = delta if i == j else -r[i][c] * inverse % delta
+    else:
+        h = _hermite_mod(m.entries(), delta)
+    if prod(h[i][i] for i in range(n)) != delta:
+        raise RuntimeError("Hermite diagonal does not multiply to |det m|")
+    u0 = [_combine(row, r, n) for row in h]
+    for row in u0:
+        for i, y in enumerate(row):
+            row[i], remainder = divmod(y, d)
+            if remainder:
+                raise RuntimeError("H * adj(m) is not divisible by det m")
+    order = sorted(range(n), key=lambda i: h[i][i] != 1)
+    k = sum(h[i][i] != 1 for i in range(n))
+    rest = order[n - k:]
+    ub, db, vb = _logged_smith(IntegerMatrix._trusted(
+        [[h[i][j] for j in rest] for i in rest], k))
+    u = [u0[i] for i in order]
+    u[n - k:] = [_combine(line, u[n - k:], n) for line in ub.entries()]
+    v = []
+    for i, row in enumerate(h):
+        # row i of V1 * P: 2 * e_i - H_i on a unit row, e_i on the rest
+        unit = row[i] == 1
+        line = [(1 + unit) * (i == j) - unit * row[j] for j in order]
+        v.append(line[:n - k] + _combine(line[n - k:], vb.entries(), k))
+    return (IntegerMatrix._trusted(u, n),
+            _diagonal([1] * (n - k) + [db[i, i] for i in range(k)], n, n),
+            IntegerMatrix._trusted(v, n))
+
+
+def _combine(coefficients, rows, n: int) -> list[int]:
+    """The sum of c * row over zip(coefficients, rows), rows n long."""
+    total = [0] * n
+    for c, row in zip(coefficients, rows):
+        if c:
+            total = [x + c * y for x, y in zip(total, row)]
+    return total
+
+
+def _diagonal(diagonal: list[int], rows: int, cols: int) -> IntegerMatrix:
+    """The rows x cols matrix with diagonal, then zeros, on its diagonal."""
+    a = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(diagonal):
+        a[i][i] = x
+    return IntegerMatrix._trusted(a, cols)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, u) with g = gcd(a, b) = s * a + u * b, for a >= 0 and b > 0."""
     g = gcd(a, b)
@@ -652,16 +770,67 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, (g - s * a) // b
 
 
+def _clear(top: list[int], row: list[int], mod: int) -> tuple[list, list]:
+    """(top, row) after 2 x 2 row steps of determinant 1, modulo mod.
+
+    0 <= top[0] and 0 < row[0] < mod.  The new row[0] is 0: the exact
+    quotient where top[0] divides row[0], and else the combination
+    [[s, u], [-b/g, p/g]] from _xgcd(p, b) of p = top[0], b = row[0],
+    which leaves their gcd g in top[0].
+    """
+    p, b = top[0], row[0]
+    if p and not b % p:
+        q = b // p
+        return top, [(y - q * x) % mod for x, y in zip(top, row)]
+    g, s, u = _xgcd(p, b)
+    p, b = p // g, b // g
+    return ([(s * x + u * y) % mod for x, y in zip(top, row)],
+            [(p * y - b * x) % mod for x, y in zip(top, row)])
+
+
+def _hermite_mod(a, delta: int) -> list[list[int]]:
+    """The row Hermite form of the square a, |det a| = delta != 0, modulo delta.
+
+    The rows of the result span the row span of a, form an upper
+    triangular matrix with a positive diagonal, and each entry above a
+    diagonal entry h lies in [0, h) (Domich, Kannan and Trotter 1987;
+    Cohen 1993, Alg. 2.4.8).  delta * Z^n lies in that span, so entries
+    are kept modulo r_t, which starts at delta.  Column t is cleared by
+    _clear into the top row, whose entry p then gives the diagonal
+    entry h_t = gcd(p, r_t) through _xgcd(p, r_t) and r_t * e_t, and
+    the rows left span a lattice of index r_t / h_t = r_(t+1) in the
+    trailing coordinates.  The entries above h_t are then reduced by
+    the new row, and the rows above stay modulo r_t, as r_t * e_l lies
+    in the span for l >= t.
+    """
+    a = [[x % delta for x in row] for row in a]
+    h, r = [], delta
+    for t in range(len(a)):
+        top = a[0]
+        for i in range(1, len(a)):
+            if a[i][0]:
+                top, a[i] = _clear(top, a[i], r)
+        g, s, _ = _xgcd(top[0], r)
+        top = [g] + [s * x % r for x in top[1:]]
+        for row in h:
+            q = row[t] // g
+            if q:
+                row[t:] = [(x - q * y) % r for x, y in zip(row[t:], top)]
+        h.append([0] * t + top)
+        r //= g
+        a = [[x % r for x in row[1:]] for row in a[1:]]
+    return h
+
+
 def _diagonal_mod(a: list[list[int]], delta: int) -> list[int]:
     """The Smith diagonal of the square a, |det a| = delta != 0, modulo delta.
 
     delta * I = +-adj(a) * a, so delta * Z^n lies in the row span of a,
     coker a = coker [a; delta * I], and every entry may be kept reduced
-    modulo delta.  The first column is cleared by 2 x 2 row
-    combinations [[s, u], [-b/g, p/g]] of determinant 1 from
-    _xgcd(p, b), or by the exact quotient where the pivot p divides b.
-    If the pivot then fails to divide its row, the block is transposed,
-    which keeps its Smith form, and the row is cleared as a column;
+    modulo delta.  The first column is cleared by _clear's 2 x 2 row
+    steps of determinant 1, which _hermite_mod takes too.  If the pivot
+    then fails to divide its row, the block is transposed, which keeps
+    its Smith form, and the row is cleared as a column;
     each such pass replaces the pivot by a proper divisor, so the
     passes end.  Once the pivot divides its row, column steps that
     change nothing else would clear it; the pivot is e_t, and the
@@ -675,18 +844,8 @@ def _diagonal_mod(a: list[list[int]], delta: int) -> list[int]:
         while True:
             top = a[0]
             for i in range(1, len(a)):
-                row, p, b = a[i], top[0], a[i][0]
-                if not b:
-                    continue
-                if p and not b % p:
-                    q = b // p
-                    a[i] = [(y - q * x) % delta for x, y in zip(top, row)]
-                else:
-                    g, s, u = _xgcd(p, b)
-                    p, b = p // g, b // g
-                    top, a[i] = (
-                        [(s * x + u * y) % delta for x, y in zip(top, row)],
-                        [(p * y - b * x) % delta for x, y in zip(top, row)])
+                if a[i][0]:
+                    top, a[i] = _clear(top, a[i], delta)
             a[0], p = top, top[0]
             if not (any(x % p for x in top[1:]) if p else any(top[1:])):
                 break
@@ -706,26 +865,27 @@ def _diagonal_mod(a: list[list[int]], delta: int) -> list[int]:
 def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     """Smith normal form d = u * m * v with explicit unimodular transforms.
 
-    With transforms (the default) the elimination runs on a bare copy
-    of m and logs its steps, and u and v are accumulated from that log,
-    from the last step back (see _replay); see _eliminate for the pivot
-    rule.  For a large m a forked child may build v while this process
-    builds u, with the same result (see _full_smith).  With
-    transforms=False d and its diagonal alone are found, by
-    _group_diagonal, at a fraction of the cost, since u and v are where
-    the coefficients grow.  d is unique, so this finds the d the eager
-    form has.  The form keeps m and builds u and v, equal to the eager
-    ones, the eager way on the first read of either.
+    With transforms (the default) _full_smith picks the route by m
+    alone.  A nonsingular square m takes its Hermite form modulo
+    |det m|, and u and v have entries about the size of |det m|; a
+    singular or rectangular m (and the Hermite form's block of
+    non-unit columns) goes to the elimination, which runs on a bare
+    copy and logs its steps, and u and v are accumulated from that
+    log, from the last step back (see _replay); see _eliminate for the
+    pivot rule.  For a large singular or rectangular m a forked child
+    may build v while this process builds u, with the same result (see
+    _logged_smith).  With transforms=False d and its diagonal alone are
+    found, by _group_diagonal, at a fraction of the cost, since u and v
+    are where the coefficients grow.  d is unique, so this finds the d
+    the eager form has.  The form keeps m and builds u and v, equal to
+    the eager ones, the eager way on the first read of either.
     """
     if transforms:
         return SmithForm(*_full_smith(m))
     diagonal = _group_diagonal(m)
     diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
-    a = [[0] * m.cols for _ in range(m.rows)]
-    for i, x in enumerate(diagonal):
-        a[i][i] = x
     form = object.__new__(SmithForm)
-    object.__setattr__(form, "d", IntegerMatrix._trusted(a, m.cols))
+    object.__setattr__(form, "d", _diagonal(diagonal, m.rows, m.cols))
     object.__setattr__(form, "diagonal", tuple(diagonal))
     object.__setattr__(form, "_m", m)
     return form

@@ -16,6 +16,7 @@ from dehnkit import (
     FramedLink,
     IntegerMatrix,
     MatrixError,
+    SmithForm,
     build_presentation,
     cokernel,
     fill_remaining,
@@ -244,6 +245,11 @@ def unit_rich_matrix(rng):
     return IntegerMatrix(rows, c)
 
 
+def logged(m):
+    """The form of m by the logged elimination, whatever the shape of m."""
+    return SmithForm(*matrices._logged_smith(m))
+
+
 def forms_digest(forms):
     """sha256 of repr((rows, cols, entries)) of u, d and v of each form."""
     h = hashlib.sha256()
@@ -262,7 +268,7 @@ PIVOT_SEQUENCE_DIGEST = (
 
 def test_snf_transforms_match_golden_digest():
     rng = random.Random(20261018)
-    forms = (smith_normal_form(unit_rich_matrix(rng)) for _ in range(300))
+    forms = (logged(unit_rich_matrix(rng)) for _ in range(300))
     assert forms_digest(forms) == PIVOT_SEQUENCE_DIGEST
 
 
@@ -294,11 +300,8 @@ HARD_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_hard_inputs_match_golden_digest():
-    # eager, then deferred: u and v built on first read are the same
-    for transforms in (True, False):
-        forms = (smith_normal_form(m, transforms=transforms)
-                 for m in hard_snf_inputs())
-        assert forms_digest(forms) == HARD_INPUTS_DIGEST, transforms
+    forms = map(logged, hard_snf_inputs())
+    assert forms_digest(forms) == HARD_INPUTS_DIGEST
 
 
 def growth_inputs():
@@ -321,8 +324,74 @@ GROWTH_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_growth_inputs_match_golden_digest():
-    forms = map(smith_normal_form, growth_inputs())
+    forms = map(logged, growth_inputs())
     assert forms_digest(forms) == GROWTH_INPUTS_DIGEST
+
+
+def hermite_route_inputs():
+    """The inputs of the four digests of the logged elimination, and more.
+
+    unit_rich_matrix's 300 and gate_inputs(), which holds the family
+    closings at n = 10^50 + 7 and -10^50 - 125; then non-cyclic
+    A * diag(1, ..., 1, 2, 6, 12, 24) * B of unimodular A and B past the
+    7 x 7 cap of minors_gcd_oracle, and a dense 60 x 60.
+    """
+    rng = random.Random(20261018)
+    yield from (unit_rich_matrix(rng) for _ in range(300))
+    yield from gate_inputs()
+    rng = random.Random(1987)
+    for k in (8, 13, 20):
+        yield (unimodular(rng, k) * diag(*[1] * (k - 4), 2, 6, 12, 24)
+               * unimodular(rng, k))
+    yield dense(60, 60)
+
+
+# sha256 of u, d and v over hermite_route_inputs(), recorded when the
+# nonsingular square ones first took their Hermite form
+HERMITE_ROUTE_DIGEST = (
+    "1599536eca9a9a193c138ff009202267adf056a36204feb797cf4516c0d94b26"
+)
+
+
+def test_snf_transforms_of_the_hermite_route_match_golden_digest():
+    eager, deferred, noncyclic = [], [], 0
+    for m in hermite_route_inputs():
+        form = assert_snf_contract(m)
+        assert form.d == logged(m).d
+        eager.append(form)
+        deferred.append(smith_normal_form(m, transforms=False))
+        group = form.cokernel
+        noncyclic += (m.rows > 7 and not group.free_rank
+                      and len(group.invariant_factors) > 1)
+    assert noncyclic >= 3
+    assert forms_digest(eager) == HERMITE_ROUTE_DIGEST
+    # u and v built on first read are the eager ones
+    assert forms_digest(deferred) == HERMITE_ROUTE_DIGEST
+
+
+def test_hermite_route_transforms_stay_within_hadamard_bound():
+    # every k x k minor of m is at most the product of the norms of its
+    # k rows (Hadamard), so |det m| and each entry of adj m are at most
+    # h = prod ||m_i||.  A row of H sums to at most |det m| + n - 1, so
+    # U0 = H * adj(m) / det m has entries at most n * h, and V1's lie
+    # below |det m| <= h: these bound u and v where H has at most one
+    # diagonal entry above 1.  The logged elimination of a block of
+    # k > 1 such columns acts on entries below |det m| with no proved
+    # bound; it is allowed a factor (n * h)^2 per column beyond the first
+    proved = 0
+    for m in [*hermite_route_inputs(), dense(59, 60)]:
+        if m.rows != m.cols or not m.det():
+            continue
+        n, h2 = m.rows, prod(sum(x * x for x in row) for row in m.entries())
+        h = matrices._hermite_mod(m.entries(), abs(m.det()))
+        k = max(1, sum(row[i] != 1 for i, row in enumerate(h)))
+        form = smith_normal_form(m)
+        u, v = ([abs(x) for row in part.entries() for x in row] + [0]
+                for part in (form.u, form.v))
+        assert max(u) ** 2 <= (n * n * h2) ** (2 * k - 1), (n, k)
+        assert max(v) ** 2 <= h2 * (n * n * h2) ** (2 * k - 2), (n, k)
+        proved += k == 1
+    assert proved >= 30
 
 
 # ------------------------------------------------------------ two-core replay
@@ -347,9 +416,20 @@ GATE_INPUTS_DIGEST = (
 )
 
 
-def parts(m):
-    form = smith_normal_form(m)
+def parts(m, smith=smith_normal_form):
+    form = smith(m)
     return tuple(part.entries() for part in (form.u, form.d, form.v))
+
+
+def singular(seed, k):
+    """dense(seed, k) with its last row made the sum of its first two.
+
+    A nonsingular square matrix takes its Hermite form, which forks no
+    child; a singular one keeps the logged elimination and its gate.
+    """
+    rows = [list(row) for row in dense(seed, k).entries()]
+    rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    return IntegerMatrix(rows)
 
 
 def in_process_parts(m, monkeypatch):
@@ -418,7 +498,7 @@ def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
     try:
         h = hashlib.sha256()
         for m in inputs:
-            for part in parts(m):
+            for part in parts(m, logged):
                 h.update(repr(part).encode())
     finally:
         stop.set()
@@ -434,7 +514,7 @@ def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
 def test_the_gate_forks_from_min_rows_cols_24_on(r, c, forked, forks,
                                                  monkeypatch, reaped,
                                                  fds_closed):
-    m = dense(r * c, r, c)
+    m = singular(r * c, r) if r == c else dense(r * c, r, c)
     expected = in_process_parts(m, monkeypatch)
     assert parts(m) == expected
     assert len(forks) == forked
@@ -443,8 +523,14 @@ def test_the_gate_forks_from_min_rows_cols_24_on(r, c, forked, forks,
 def test_one_usable_cpu_replays_in_process(forks, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    smith_normal_form(dense(36, 36))
+    m = singular(36, 36)
+    smith_normal_form(m)
     assert forks == []
+    # and two usable CPUs fork for this input
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    smith_normal_form(m)
+    assert len(forks) == 1
 
 
 def spy_replay(monkeypatch, in_child):
@@ -468,7 +554,7 @@ def spy_replay(monkeypatch, in_child):
 
 
 def test_v_comes_from_the_child(forks, monkeypatch, reaped, fds_closed):
-    m = dense(40, 40)
+    m = singular(40, 40)
     expected = in_process_parts(m, monkeypatch)
     replays = spy_replay(monkeypatch, lambda v: v)
     assert parts(m) == expected
@@ -499,7 +585,7 @@ def exit_midway(rows):
 def test_a_failed_child_leaves_v_to_this_process(in_child, forks,
                                                  monkeypatch, reaped,
                                                  fds_closed):
-    m = dense(40, 40)
+    m = singular(40, 40)
     expected = in_process_parts(m, monkeypatch)
     replays = spy_replay(monkeypatch, in_child)
     assert parts(m) == expected
@@ -511,7 +597,7 @@ def test_a_child_reaped_elsewhere_leaves_v_to_this_process(forks,
                                                           reaped,
                                                           fds_closed):
     # with SIGCHLD ignored the kernel reaps the child, and waitpid fails
-    m = dense(40, 40)
+    m = singular(40, 40)
     expected = in_process_parts(m, monkeypatch)
     replays = spy_replay(monkeypatch, lambda v: v)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -525,7 +611,7 @@ def test_a_child_reaped_elsewhere_leaves_v_to_this_process(forks,
 @pytest.mark.parametrize("name", ["pipe", "fork"])
 def test_no_pipe_or_no_fork_replays_in_process(name, forks, monkeypatch,
                                                reaped, fds_closed):
-    m = dense(40, 40)
+    m = singular(40, 40)
     expected = in_process_parts(m, monkeypatch)
 
     def refuse():
@@ -555,7 +641,7 @@ def test_a_failed_u_replay_reaps_the_child_and_raises(forks, monkeypatch,
     signal.alarm(30)
     try:
         with pytest.raises(RuntimeError, match="u failed"):
-            smith_normal_form(dense(40, 40))
+            smith_normal_form(singular(40, 40))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -630,7 +716,8 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
-        for name in ("_full_smith", "_replay_forked", "_replay"):
+        for name in ("_full_smith", "_adjugate", "_replay_forked",
+                     "_replay"):
             patched.setattr(matrices, name, refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
@@ -867,6 +954,49 @@ def test_modular_route_agrees_with_sympy():
             domain=sympy.ZZ)
         expected = tuple(abs(int(x)) for x in factors)
         assert smith_normal_form(m, transforms=False).diagonal == expected
+
+
+def test_last_invariant_factor_from_the_adjugate():
+    # a second route to the group-only diagonal past the 7 x 7 cap: for
+    # nonsingular square m, d_1 ... d_(n-1) = gcd(adj m) and d_1 ... d_n
+    # = |det m| (Newman, Integral Matrices, ch. II), so d_n = |det m| /
+    # gcd(adj m), and coker m is cyclic exactly when gcd(adj m) = 1; the
+    # group-only route never calls _adjugate
+    rng = random.Random(2027)
+    inputs = [nonsingular(rng, k) for k in (8, 12, 20, 33, 47, 60)]
+    inputs += [unimodular(rng, k) * diag(*[1] * (k - len(tail)), *tail)
+               * unimodular(rng, k)
+               for tail in ((2, 6, 12), (3, 3, 9, 27)) for k in (9, 16, 25)]
+    cyclic = []
+    for m in inputs:
+        d, r = matrices._adjugate(m)
+        assert abs(d) == abs(m.det())
+        g = gcd(*(x for row in r for x in row))
+        group = cokernel(m)
+        assert (group.invariant_factors or (1,))[-1] == abs(d) // g
+        assert group.is_cyclic == (g == 1)
+        cyclic.append(group.is_cyclic)
+    assert cyclic.count(False) >= 6 and any(cyclic)
+
+
+def test_modular_hermite_form():
+    # upper triangular, each entry above a diagonal entry h in [0, h),
+    # diagonal product |det m|, and H * m^-1 = H * r / d integral, so
+    # the rows of H lie in the row span of m and span it
+    inputs = [m for _, ms, finish in route_rows() if finish == "modular"
+              for m in ms]
+    for m in inputs:
+        d, r = matrices._adjugate(m)
+        h = matrices._hermite_mod(m.entries(), abs(d))
+        n = m.rows
+        assert prod(h[i][i] for i in range(n)) == abs(d)
+        for i, row in enumerate(h):
+            assert row[:i] == [0] * i and row[i] > 0
+            assert all(0 <= x < h[j][j] for j, x in enumerate(row)
+                       if j > i)
+        assert not any(x % d for row in (IntegerMatrix(h)
+                                         * IntegerMatrix(r)).entries()
+                       for x in row)
 
 
 def test_smith_forms_survive_copy_and_pickle():

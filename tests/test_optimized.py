@@ -50,6 +50,34 @@ def test_modular_route_rejects_a_wrong_chain(tmp_path, monkeypatch):
         cli.main(["snf", "--input", str(path)])
 
 
+@pytest.mark.parametrize("fault, error", [
+    ("one wrong row", "H * adj(m) is not divisible by det m"),
+    ("twice the determinant", "Hermite diagonal does not multiply to |det m|"),
+])
+def test_hermite_route_rejects_a_wrong_adjugate(fault, error, tmp_path,
+                                                monkeypatch):
+    rng = random.Random(12)
+    m = IntegerMatrix(
+        [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m.to_doc()))
+    real = matrices._adjugate
+
+    def wrong(m):
+        d, r = real(m)
+        if fault == "one wrong row":
+            r[0] = [x + 1 for x in r[0]]
+            return d, r
+        # the Hermite form modulo 2 |det m| still multiplies to |det m|
+        return 2 * d, [[2 * x for x in row] for row in r]
+
+    monkeypatch.setattr(matrices, "_adjugate", wrong)
+    with pytest.raises(RuntimeError, match=re.escape(error)):
+        smith_normal_form(m)
+    with pytest.raises(RuntimeError, match=re.escape(error)):
+        cli.main(["snf", "--json", "--input", str(path)])
+
+
 def test_all_lists_every_public_name():
     public = {
         name for name, value in vars(dehnkit).items()
