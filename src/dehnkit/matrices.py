@@ -9,19 +9,21 @@ The central computation is the Smith normal form D = U * M * V with
 unimodular U, V and a divisibility chain d_1 | d_2 | ... on the
 diagonal.  U and V come by one of two routes (_full_smith).  A
 nonsingular square M takes its row Hermite form H, found modulo
-|det M| from det M and adj M, which one fraction-free Gauss-Jordan
-elimination gives: U and V then have entries about the size of
-|det M|, and only the k x k block of H's non-unit columns (k = 1 for
-most inputs whose cokernel is cyclic) is left to eliminate.  A singular or
-rectangular M, and that block, go to one elimination loop on a bare
-copy, which logs its row steps and its column steps; one replay builds
+|det M| from det M and adj M, which one fraction-free forward
+elimination and a back substitution give: U and V then have entries
+about the size of |det M|, and only the k x k block of H's non-unit
+columns (k = 1 for most inputs whose cokernel is cyclic) is left to
+eliminate.  A singular or rectangular M, and that block, go to one
+elimination loop on a bare copy, which logs its row steps and its
+column steps; one replay builds
 U from the row steps and V from the column steps, each from the last
 step back, where the many late steps act on small numbers.  The two
 replays share nothing, so for a large singular or rectangular M a
 forked child may build V while this process builds U, with the same
 result (see _logged_smith).  D alone needs neither route: it is found
-with no transforms by _group_diagonal, and a form found so makes U and
-V, the eager way, only if they are read.  From D the cokernel
+with no transforms by _group_diagonal, which reads a few columns of
+adj M to prove a cyclic cokernel, and a form found so makes U and V,
+the eager way, only if they are read.  From D the cokernel
 Z^cols / rowspan(M) is read off as an abelian group, which needs no
 transforms.  A second, independent route to the same invariant
 factors (gcds of k x k minors) is provided for cross-checking and is
@@ -33,7 +35,7 @@ from __future__ import annotations
 import re
 from itertools import chain, combinations
 from math import gcd, prod
-from operator import index
+from operator import index, mul
 
 
 class InputError(ValueError):
@@ -444,6 +446,18 @@ def _small_diagonal(a: list[list[int]]) -> list[int]:
     return [g, abs(w * z - x * y) // g] if g else [0, 0]
 
 
+# the adjugate columns _group_diagonal keeps, chosen from the rank of
+# adj m, not from timings.  Where coker m is cyclic, m mod p has rank
+# n - 1 for each prime p dividing det m, so adj m mod p has rank one,
+# u * v^T with u, v != 0, and the kept columns j all vanish mod p only
+# where v_j does for each of them: for 6 columns about p^-6 of the
+# time, 1/64 at p = 2.  A rest they miss, and every non-cyclic rest,
+# goes on to the modular finish, having paid n^2 / 2 products for each
+# column, against the n^3 / 3 updates of the elimination; a certified
+# rest pays n^2 more for the check of each column it read
+_KEPT = 6
+
+
 def _group_diagonal(m: IntegerMatrix) -> list[int]:
     """The Smith diagonal of m, up to its trailing zeros, with no transforms.
 
@@ -453,12 +467,20 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     column, which clears that column, and column steps would then clear
     the pivot row without changing anything else.  So the pivot's row
     and column are dropped, the Schur complement stays, and the pivot
-    adds an invariant factor 1.  The rest then picks its finish: a
+    adds an invariant factor 1.  The rest then picks its finish.  A
     square rest larger than 2 x 2 with at most a quarter of its entries
-    zero and det != 0 is diagonalized modulo |det| (_diagonal_mod), so
-    that no entry outgrows |det|, and any other, a sparse rest among
-    them, goes to _eliminate without a log, which pivots on its small
-    entries and ends a block of one row, one column or 2 x 2 by gcds.
+    zero and d = +-det != 0 yields up to _KEPT columns x of its
+    adjugate (_adjugate_columns), read one at a time.  Each entry of x
+    is an (n - 1)-minor, which d_1 ... d_(n-1) divides, and so does
+    delta = |d| = d_1 ... d_n, so once the gcd of delta and the entries
+    read is 1, the diagonal is 1, ..., 1, delta: the certified finish.
+    RuntimeError is raised unless rest * x = d * e_j for each x read,
+    e_j the unit vector of its column.  Where the kept columns leave a
+    gcd above 1, the rest is diagonalized modulo delta (_diagonal_mod),
+    so that no entry outgrows delta.  Any other rest, a singular or
+    sparse one among them, goes to _eliminate without a log, which
+    pivots on its small entries and ends a block of one row, one column
+    or 2 x 2 by gcds.
     """
     a = [list(row) for row in m.entries()]
     ones = []
@@ -483,9 +505,24 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     n = len(a)
     if n > 2 and n == len(a[0]) and 4 * sum(
             row.count(0) for row in a) <= n * n:
-        delta = abs(IntegerMatrix._trusted(a, n).det())
-        if delta:
-            return ones + _diagonal_mod(a, delta)
+        solved = _adjugate_columns(a, min(n, _KEPT))
+        if solved:
+            d, columns = solved
+            delta = g = abs(d)
+            read = []
+            for j, x in columns:
+                read.append((j, x))
+                g = gcd(g, *x)
+                if g == 1:
+                    break
+            else:
+                return ones + _diagonal_mod(a, delta)
+            for j, x in read:
+                if [sum(map(mul, row, x)) for row in a] != [
+                        d * (i == j) for i in range(n)]:
+                    raise RuntimeError("a kept adjugate column x fails "
+                                       "m * x = d * e_j")
+            return ones + [1] * (n - 1) + [delta]
     return ones + _eliminate(a)
 
 
@@ -649,46 +686,85 @@ def _logged_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
             IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc))
 
 
-def _adjugate(m: IntegerMatrix) -> tuple[int, list[list[int]]] | None:
-    """(d, r) with d = +-det m != 0 and r = d * m^-1, or None if m is singular.
+def _adjugate_columns(a, keep: int) -> tuple | None:
+    """(d, columns) for the square a, or None if a is singular.
 
-    A fraction-free Gauss-Jordan elimination on [m | I], square m: each
-    step turns every row but the pivot row into (p * row - f * top) /
-    prev, an exact division, so [m | I] ends as [d * I | r].  A column
-    of the right half whose row has not been a pivot yet is that row's
-    prev times a unit vector, so it is left out until its row becomes
-    the pivot, and each step costs n^2 entries, not 2 * n^2.  A pivot
-    column with no nonzero entry left shows m singular.
+    d = +-det a != 0, and columns yields, each found only when asked
+    for, keep pairs (j, x), x column j of d * a^-1 = +-adj a.  Forward
+    fraction-free elimination (Bareiss 1968) on [a | I]: each step turns
+    every row below the pivot row into (p * row - f * top) / prev, an
+    exact division, so a ends upper triangular, d its last pivot, and I
+    lower triangular in the order the rows became pivots.  A column of
+    I whose row has not been a pivot yet is that row's prev times a unit
+    vector, so it is carried only from the step its row becomes the
+    pivot, and only for the last keep pivots; j is the row of a that
+    pivot came from.  A pivot column with no nonzero entry left shows a
+    singular.  Back substitution finds each x from its last entry up,
+    x_i = (d * b_i - sum of u_ik * x_k over k > i) / u_ii, with one dot
+    product in C and one division, exact as x is integral.  Forward
+    elimination costs n^3 / 3 entry updates, where Gauss-Jordan costs
+    n^3, and each x costs n^2 / 2 products.
     """
-    a = [list(row) for row in m.entries()]
+    a = [list(row) for row in a]
     n = len(a)
+    start = n - keep
     order = list(range(n))
+    done = []
     prev = 1
     for k in range(n):
-        p = next((i for i in range(k, n) if a[i][0]), None)
-        if p is None:
-            return None
+        p = k
+        while not a[p][0]:
+            p += 1
+            if p == n:
+                return None
         a[k], a[p] = a[p], a[k]
         order[k], order[p] = order[p], order[k]
         pivot, *top = a[k]
-        for i, row in enumerate(a):
-            f = row[0]
-            a[i] = top + [prev] if i == k else [
-                (pivot * x - f * y) // prev
-                for x, y in zip(row[1:], top)] + [-f]
+        kept = k >= start
+        if kept:
+            top.append(prev)
+        for i in range(k + 1, n):
+            f, *row = a[i]
+            row = a[i] = [(pivot * x - f * y) // prev
+                          for x, y in zip(row, top)]
+            if kept:
+                row.append(-f)
+        # the pivot, its row of u to the right, last entry first, and
+        # the kept columns of I in its row, from the first kept on
+        done.append((pivot, top[:n - k - 1][::-1], top[n - k - 1:]))
         prev = pivot
-    # column k of the right half belongs to the k-th pivot row of m
-    place = sorted(range(n), key=order.__getitem__)
-    return prev, [[row[k] for k in place] for row in a]
+
+    def column(c):
+        x = []
+        for pivot, tail, right in reversed(done):
+            b = prev * right[c] if c < len(right) else 0
+            x.append((b - sum(map(mul, tail, x))) // pivot)
+        x.reverse()
+        return order[start + c], x
+
+    return prev, map(column, range(keep))
+
+
+def _adjugate(m: IntegerMatrix) -> tuple[int, list[list[int]]] | None:
+    """(d, r) with d = +-det m != 0 and r = d * m^-1, or None if m is singular.
+
+    _adjugate_columns of the square m with every column kept, in
+    column order.
+    """
+    solved = _adjugate_columns(m.entries(), m.rows)
+    if solved is None:
+        return None
+    d, columns = solved
+    return d, [list(row) for row in zip(*(x for _, x in sorted(columns)))]
 
 
 def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     """(u, d, v) of m; for a nonsingular square m from its Hermite form.
 
-    A rectangular or singular m (which _adjugate finds) goes to
-    _logged_smith.  Else let d and r = d * m^-1 be _adjugate's and
-    delta = |d|.  The row Hermite form H = U0 * m is found modulo delta:
-    where gcd(r) = d_1 ... d_(n-1) is 1 and an entry w_j of a column w
+    A rectangular or singular m (which _adjugate's forward elimination
+    finds) goes to _logged_smith.  Else let d and r = d * m^-1 be
+    _adjugate's and delta = |d|.  The row Hermite form H = U0 * m is
+    found modulo delta: where gcd(r) = d_1 ... d_(n-1) is 1 and an entry w_j of a column w
     of r is prime to delta (searched from the last row of r up), the
     row span of m is {x : x . w = 0 mod delta}, and H has the rows
     e_i + c_i * e_j, c_i = -w_i / w_j mod delta, and delta * e_j;

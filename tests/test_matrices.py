@@ -817,28 +817,34 @@ def unit_free(rng, k):
 def route_rows():
     """(name, inputs, the finish each rest takes after the unit pivots).
 
-    A finish is modular (_diagonal_mod), gcd (_eliminate hands its whole
-    block to _small_diagonal), euclid (_eliminate runs a pass first) or
-    none (the unit pivots use up every row or every column).
+    A finish is certified (kept adjugate columns prove the cokernel
+    cyclic, and no other finish runs), modular (_diagonal_mod), gcd
+    (_eliminate hands its whole block to _small_diagonal), euclid
+    (_eliminate runs a pass first) or none (the unit pivots use up every
+    row or every column).
     """
     rng = random.Random(1991)
-    yield "dense 8..40", [nonsingular(rng, k)
-                          for k in (8, 9, 12, 16, 24, 32, 40)], "modular"
-    yield "near 10^30", [nonsingular(rng, 8, 10 ** 30)
-                         for _ in range(4)], "modular"
+    dense_rows = [nonsingular(rng, k) for k in (8, 9, 12, 16, 24, 32, 40)]
+    yield "dense 8..40, cyclic", dense_rows[:4] + dense_rows[6:], "certified"
+    yield "dense 24 and 32, not cyclic", dense_rows[4:6], "modular"
+    near = [nonsingular(rng, 8, 10 ** 30) for _ in range(4)]
+    yield "near 10^30, cyclic", near[:3], "certified"
+    yield "near 10^30, not cyclic", near[3:], "modular"
     # A * diag(1, ..., 1, tail) * B with unimodular A and B and
     # non-generic tails; an empty tail makes |det| = 1
-    yield "non-generic", [
+    tails = [
         unimodular(rng, k) * diag(*[1] * (k - len(tail)), *tail)
         * unimodular(rng, k)
         for tail in ((2, 6, 12, 24), (24, 4, 9, 10), (3, 3, 3, 3, 3),
                      (4, 12, 36), ())
-        for k in (8, 13, 20)], "modular"
+        for k in (8, 13, 20)]
+    yield "non-generic", tails[:12], "modular"
+    yield "|det| = 1", tails[12:], "certified"
     while True:
         five = IntegerMatrix(unit_free(rng, 5))
         if five.det():
             break
-    yield "unit-free 5x5", [five], "modular"
+    yield "unit-free 5x5", [five], "certified"
     while True:
         # zeros on exactly a quarter of an 8 x 8, then on one entry more
         rows = unit_free(rng, 8)
@@ -851,7 +857,7 @@ def route_rows():
         more = IntegerMatrix(rows)
         if quarter.det() and more.det():
             break
-    yield "quarter zero", [quarter], "modular"
+    yield "quarter zero", [quarter], "certified"
     yield "over a quarter zero", [more], "euclid"
     yield "singular 20x20", [dense(6, 20, 19) * dense(7, 19, 20)], "euclid"
     # a chain of 9 unknots linking their neighbours twice, on framings
@@ -869,8 +875,10 @@ def route_rows():
 
 
 def test_modular_route_matches_eliminate(monkeypatch):
-    inputs = [m for _, ms, finish in route_rows() if finish == "modular"
-              for m in ms]
+    # the certified finish shares no code with the logged _eliminate
+    # either, so its rows are checked against it too
+    inputs = {finish: [m for _, ms, f in route_rows() if f == finish
+                       for m in ms] for finish in ("modular", "certified")}
     taken = []
     real = matrices._diagonal_mod
 
@@ -879,14 +887,16 @@ def test_modular_route_matches_eliminate(monkeypatch):
         return real(a, delta)
 
     monkeypatch.setattr(matrices, "_diagonal_mod", spy)
-    for m in inputs:
+    for m in inputs["modular"] + inputs["certified"]:
         a = [list(row) for row in m.entries()]
         # given the step logs, _eliminate leaves d in a
         matrices._eliminate(a, [], [])
         assert smith_normal_form(m, transforms=False).d == IntegerMatrix(a)
-    assert len(taken) == len(inputs)
-    dets = [m.det() for m in inputs]
-    assert min(dets) < 0 < max(dets) and 1 in map(abs, dets)
+    assert len(taken) == len(inputs["modular"])
+    for ms in inputs.values():
+        dets = [m.det() for m in ms]
+        assert min(dets) < 0 < max(dets)
+    assert 1 in [abs(m.det()) for m in inputs["certified"]]
 
 
 def test_modular_route_does_not_fall_back(monkeypatch):
@@ -922,8 +932,10 @@ def test_modular_route_gate(monkeypatch):
         for m, d in zip(inputs, ds):
             calls.clear()
             assert smith_normal_form(m, transforms=False).d == d, row
-            (first, block), *rest = calls
-            if first == "_diagonal_mod" and not rest:
+            (first, block), *rest = calls or [(None, None)]
+            if first is None:
+                finish = "certified"
+            elif first == "_diagonal_mod" and not rest:
                 finish = "modular"
             elif not block or not block[0]:
                 finish = "none"
@@ -956,19 +968,38 @@ def test_modular_route_agrees_with_sympy():
         assert smith_normal_form(m, transforms=False).diagonal == expected
 
 
-def test_last_invariant_factor_from_the_adjugate():
-    # a second route to the group-only diagonal past the 7 x 7 cap: for
-    # nonsingular square m, d_1 ... d_(n-1) = gcd(adj m) and d_1 ... d_n
-    # = |det m| (Newman, Integral Matrices, ch. II), so d_n = |det m| /
-    # gcd(adj m), and coker m is cyclic exactly when gcd(adj m) = 1; the
-    # group-only route never calls _adjugate
+def adjugate_inputs():
+    """Seeded nonsingular 8 x 8 to 60 x 60, then six non-cyclic inputs.
+
+    The last six are A * diag(1, ..., 1, tail) * B of unimodular A and
+    B, two tails at 9 x 9, 16 x 16 and 25 x 25 each.
+    """
     rng = random.Random(2027)
     inputs = [nonsingular(rng, k) for k in (8, 12, 20, 33, 47, 60)]
     inputs += [unimodular(rng, k) * diag(*[1] * (k - len(tail)), *tail)
                * unimodular(rng, k)
                for tail in ((2, 6, 12), (3, 3, 9, 27)) for k in (9, 16, 25)]
-    cyclic = []
+    return inputs
+
+
+def test_last_invariant_factor_from_the_adjugate():
+    # a second route to the group-only diagonal past the 7 x 7 cap: for
+    # nonsingular square m, d_1 ... d_(n-1) = gcd(adj m) and d_1 ... d_n
+    # = |det m| (Newman, Integral Matrices, ch. II), so d_n = |det m| /
+    # gcd(adj m), and coker m is cyclic exactly when gcd(adj m) = 1.
+    # The group-only route reads adjugate columns from the same kernel
+    # for a cyclic dense rest; the routes that share no code with it are
+    # the logged _eliminate, sympy and minors_gcd_oracle, and det m here
+    # is the separate Bareiss elimination of IntegerMatrix.det
+    inputs = adjugate_inputs()
+    inputs += [m for _, ms, _ in route_rows() for m in ms
+               if m.rows == m.cols]
+    cyclic, singular = [], 0
     for m in inputs:
+        if not m.det():
+            assert matrices._adjugate(m) is None
+            singular += 1
+            continue
         d, r = matrices._adjugate(m)
         assert abs(d) == abs(m.det())
         g = gcd(*(x for row in r for x in row))
@@ -976,15 +1007,34 @@ def test_last_invariant_factor_from_the_adjugate():
         assert (group.invariant_factors or (1,))[-1] == abs(d) // g
         assert group.is_cyclic == (g == 1)
         cyclic.append(group.is_cyclic)
-    assert cyclic.count(False) >= 6 and any(cyclic)
+    assert cyclic.count(False) >= 6 and any(cyclic) and singular
+
+
+def test_no_non_cyclic_input_is_certified(monkeypatch):
+    # a certified finish would give d = diag(1, ..., 1, |det m|), wrong
+    # for each of these; each must reach the modular finish instead
+    inputs = [m for _, ms, finish in route_rows() if finish == "modular"
+              for m in ms] + adjugate_inputs()[6:]
+    taken = []
+    real = matrices._diagonal_mod
+
+    def spy(a, delta):
+        taken.append(a)
+        return real(a, delta)
+
+    monkeypatch.setattr(matrices, "_diagonal_mod", spy)
+    for m in inputs:
+        taken.clear()
+        assert not cokernel(m).is_cyclic
+        assert len(taken) == 1
 
 
 def test_modular_hermite_form():
     # upper triangular, each entry above a diagonal entry h in [0, h),
     # diagonal product |det m|, and H * m^-1 = H * r / d integral, so
     # the rows of H lie in the row span of m and span it
-    inputs = [m for _, ms, finish in route_rows() if finish == "modular"
-              for m in ms]
+    inputs = [m for _, ms, finish in route_rows()
+              if finish in ("modular", "certified") for m in ms]
     for m in inputs:
         d, r = matrices._adjugate(m)
         h = matrices._hermite_mod(m.entries(), abs(d))

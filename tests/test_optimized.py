@@ -18,7 +18,8 @@ from types import ModuleType
 import pytest
 
 import dehnkit
-from dehnkit import IntegerMatrix, cli, matrices, smith_normal_form, twobridge
+from dehnkit import (IntegerMatrix, cli, cokernel, matrices,
+                     smith_normal_form, twobridge)
 
 PACKAGE = Path(dehnkit.__file__).resolve().parent
 
@@ -29,15 +30,29 @@ def test_family_schubert_rejects_a_wrong_closed_form(monkeypatch):
         twobridge.family_schubert(3)
 
 
-def test_modular_route_rejects_a_wrong_chain(tmp_path, monkeypatch):
+def dense_input(tmp_path, doubled=0):
+    """A dense 12 x 12 of |det| > 1, and its document's path.
+
+    Its last doubled rows are doubled: two of them leave it rank 10 or
+    less mod 2, so two invariant factors are even and the cokernel is
+    not cyclic.
+    """
     rng = random.Random(12)
     while True:
-        m = IntegerMatrix(
-            [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+        rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+        rows[12 - doubled:] = [[2 * x for x in row]
+                               for row in rows[12 - doubled:]]
+        m = IntegerMatrix(rows)
         if abs(m.det()) > 1:
             break
     path = tmp_path / "m.json"
     path.write_text(json.dumps(m.to_doc()))
+    return m, path
+
+
+def test_modular_route_rejects_a_wrong_chain(tmp_path, monkeypatch):
+    # a cyclic cokernel would be certified before the modular finish
+    m, path = dense_input(tmp_path, doubled=2)
     # reduced modulo twice its |det|, the rest still finds its own
     # invariant factors, whose product is not the delta it was given
     real = matrices._diagonal_mod
@@ -46,6 +61,27 @@ def test_modular_route_rejects_a_wrong_chain(tmp_path, monkeypatch):
     error = re.escape("modular invariant factors do not multiply to |det m|")
     with pytest.raises(RuntimeError, match=error):
         smith_normal_form(m, False)
+    with pytest.raises(RuntimeError, match=error):
+        cli.main(["snf", "--input", str(path)])
+
+
+def test_certified_finish_rejects_a_wrong_adjugate_column(tmp_path,
+                                                        monkeypatch):
+    m, path = dense_input(tmp_path)
+    real = matrices._adjugate_columns
+
+    def wrong(a, keep):
+        d, columns = real(a, keep)
+        (j, x), *rest = columns
+        # m * x is now off by d times the first column of m
+        return d, [(j, [x[0] + d, *x[1:]]), *rest]
+
+    monkeypatch.setattr(matrices, "_adjugate_columns", wrong)
+    error = re.escape("a kept adjugate column x fails m * x = d * e_j")
+    with pytest.raises(RuntimeError, match=error):
+        smith_normal_form(m, False)
+    with pytest.raises(RuntimeError, match=error):
+        cokernel(m)
     with pytest.raises(RuntimeError, match=error):
         cli.main(["snf", "--input", str(path)])
 
