@@ -6,10 +6,11 @@ given after the subcommand's own words, prints the payload as one JSON
 object with sorted keys, so identical inputs give byte-identical
 output.  A payload may carry an IntegerMatrix; main spells it as a
 matrix document only under --json, so text mode never pays for it.
-Exit codes: 0 for success, 1 for a verification failure (only the
-family sweep can produce one) or for a reader of stdout that left
-early (say, `| head -1`), which prints nothing more, 2 for bad input:
-a usage error or an InputError: every layer's input error, or what
+Integers of any number of digits are read and printed exactly (see
+main).  Exit codes: 0 for success, 1 for a verification failure (only
+the family sweep can produce one) or for a reader of stdout that left
+early (say, `| head -1`), which prints nothing more, 2 for bad input: a
+usage error or an InputError: every layer's input error, or what
 _read_doc makes of an unreadable file, malformed JSON or undecodable
 text.  Any other exception, any other OSError or ValueError included,
 is a fault, not bad input: it ends in a traceback, and Python exits 1.
@@ -314,6 +315,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Python refuses int <-> str conversions of more than 4,300 digits by
+    # default, since they take quadratic time; dehnkit's integers are
+    # exact at any size, so the command lifts the limit while it runs
+    # and gives the caller's value back
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

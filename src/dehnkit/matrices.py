@@ -15,15 +15,12 @@ about the size of |det M|, and only the k x k block of H's non-unit
 columns (k = 1 for most inputs whose cokernel is cyclic) is left to
 eliminate.  A singular or rectangular M, and that block, go to one
 elimination loop on a bare copy, which logs its row steps and its
-column steps; one replay builds
-U from the row steps and V from the column steps, each from the last
-step back, where the many late steps act on small numbers.  The two
-replays share nothing, so for a large singular or rectangular M a
-forked child may build V while this process builds U, with the same
-result (see _logged_smith).  D alone needs neither route: it is found
-with no transforms by _group_diagonal, which reads a few columns of
-adj M to prove a cyclic cokernel, and a form found so makes U and V,
-the eager way, only if they are read.  From D the cokernel
+column steps; one replay builds U from the row steps and V from the
+column steps, each from the last step back, where the many late steps
+act on small numbers.  D alone needs neither route: it is found with
+no transforms by _group_diagonal, which reads a few columns of adj M
+to prove a cyclic cokernel, and a form found so makes U and V, the
+eager way, only if they are read.  From D the cokernel
 Z^cols / rowspan(M) is read off as an abelian group, which needs no
 transforms.  A second, independent route to the same invariant
 factors (gcds of k x k minors) is provided for cross-checking and is
@@ -289,8 +286,7 @@ class SmithForm(_Value):
         # reached only for an attribute the instance lacks, an empty
         # slot included: u and v of a group-only form, until this first
         # read builds them; two threads reading at once may both build,
-        # and build equal ones, both without a child process, since a
-        # live second thread keeps _logged_smith from forking
+        # and build equal ones
         if name not in ("u", "v") or not hasattr(self, "_m"):
             raise AttributeError(name)
         u, _, v = _full_smith(self._m)
@@ -562,128 +558,19 @@ def _replay(steps: list, n: int) -> list[list[int]]:
     return x
 
 
-# the smallest min(rows, cols) whose v a forked child replays.  Only the
-# logged elimination replays: an eager singular or rectangular form, and
-# a Hermite form's block of k >= 24 non-unit columns; a nonsingular
-# square form's transforms are not replayed.  The crossover, measured on
-# 2 CPUs in a 15 MB process on Python 3.11 as the logged elimination
-# (then all of _full_smith) of one dense [-9, 9] square matrix forked
-# and in process, alternating which goes first, with the median of the
-# time ratios over 24 matrices (12 from 48 x 48 on) for each of three
-# seeds: fork plus transfer lost 6-83% at 18 x 18 and 20 x 20 and 1-27%
-# at 22 x 22, was within 14% either way at 24 x 24 to 28 x 28, and won
-# 5-15% at 32 x 32, 7-18% at 36 x 36, 14-27% at 48 x 48 and 27-34% at
-# 60 x 60; fork costs more in a larger process
-_FORK_MIN = 24
-
-
-def _may_fork() -> bool:
-    """Whether a child may replay v: os.fork, one Thread, two CPUs.
-
-    Asked only by _logged_smith, so only for an eager singular or
-    rectangular form of min(rows, cols) >= _FORK_MIN.  Two hazards stay
-    open.  Only threading.Thread objects are counted, not threads
-    started in C, such as pytest's faulthandler watchdog;
-    with one live, Python 3.12+ warns at os.fork.  And _FORK_MIN was
-    tuned in a 22 MB process: a caller with a larger heap pays more for
-    each fork.
-    """
-    import os
-    import sys
-
-    # a process that never imported threading has started no Thread
-    threading = sys.modules.get("threading")
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
-    return (hasattr(os, "fork") and len(cpus) >= 2
-            and (threading is None or threading.active_count() == 1))
-
-
-def _replay_forked(rows: list, cols: list, nr: int, nc: int) -> tuple:
-    """(the rows of u's transpose, the rows of v or None): v in a child.
-
-    A forked child runs _replay on the column steps, writes each row of
-    v to a pipe as an 8-byte length and a marshal frame, and always
-    leaves by os._exit, which runs no exit hook and flushes no inherited
-    buffer.  This process runs _replay on the row steps meanwhile, then
-    reads and decodes v one row at a time.  It closes the pipe before it
-    reaps the child, also when its own replay raises, so a child blocked
-    on a full pipe fails its write and exits.  v is None where the pipe
-    or the fork fails, or where the child exits nonzero or sends less
-    than all of v.
-    """
-    import marshal
-    import os
-
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return _replay(rows, nr), None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return _replay(rows, nr), None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                for row in _replay(cols, nc):
-                    frame = marshal.dumps(row)
-                    out.write(len(frame).to_bytes(8, "little"))
-                    out.write(frame)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    v = []
-    try:
-        with open(r, "rb") as pipe:
-            ut = _replay(rows, nr)
-            # v comes a frame per row, each read whole by pipe.read(size):
-            # on 2 CPUs one frame for all of v raised the peak RSS of a
-            # 30 MB process running dense 20..60 square forms by
-            # 0.9-1.9 MB, and on a 60 x 60 v (8.2 MB) marshal.load(pipe)
-            # took 0.32 s against 0.018 s for marshal.loads(pipe.read())
-            try:
-                while len(v) < nc:
-                    size = int.from_bytes(pipe.read(8), "little")
-                    v.append(marshal.loads(pipe.read(size)))
-            except (EOFError, ValueError):
-                pass  # a frame cut short or missing: the child failed
-    finally:
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:
-            status = -1  # reaped elsewhere, as where SIGCHLD is ignored
-    return ut, (v if status == 0 and len(v) == nc else None)
-
-
 def _logged_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     """(u, d, v) of m: eliminate on a copy of m, then replay its steps.
 
-    u comes from _replay of the row steps in this process.  v comes from
-    a forked child (_replay_forked) where min(rows, cols) >= _FORK_MIN =
-    24, os.fork exists, no second threading.Thread is live and two CPUs
-    are usable (_may_fork), and else, or where the pipe, the fork or the
-    child fails, from _replay of the column steps in this process.
-    Either way u, d and v are the same.
+    u comes from _replay of the row steps and v from _replay of the
+    column steps, both in this process.
     """
     a = [list(row) for row in m.entries()]
     rows, cols = [], []
     _eliminate(a, rows, cols)
     nr, nc = m.rows, m.cols
-    v = None
-    if min(nr, nc) >= _FORK_MIN and _may_fork():
-        ut, v = _replay_forked(rows, cols, nr, nc)
-    else:
-        ut = _replay(rows, nr)
-    if v is None:
-        v = _replay(cols, nc)
-    return (IntegerMatrix._trusted(zip(*ut), nr),
-            IntegerMatrix._trusted(a, nc), IntegerMatrix._trusted(v, nc))
+    return (IntegerMatrix._trusted(zip(*_replay(rows, nr)), nr),
+            IntegerMatrix._trusted(a, nc),
+            IntegerMatrix._trusted(_replay(cols, nc), nc))
 
 
 def _adjugate_columns(a, keep: int) -> tuple | None:
@@ -948,9 +835,7 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     non-unit columns) goes to the elimination, which runs on a bare
     copy and logs its steps, and u and v are accumulated from that
     log, from the last step back (see _replay); see _eliminate for the
-    pivot rule.  For a large singular or rectangular m a forked child
-    may build v while this process builds u, with the same result (see
-    _logged_smith).  With transforms=False d and its diagonal alone are
+    pivot rule.  With transforms=False d and its diagonal alone are
     found, by _group_diagonal, at a fraction of the cost, since u and v
     are where the coefficients grow.  d is unique, so this finds the d
     the eager form has.  The form keeps m and builds u and v, equal to

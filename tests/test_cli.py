@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import io
 import json
@@ -355,23 +356,94 @@ def test_a_reader_that_leaves_ends_in_exit_one_and_no_message():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
-def test_snf_json_is_the_same_without_fork(tmp_path, capsys, monkeypatch):
-    # a dense singular 30 x 30 keeps the logged elimination and is past
-    # the gate, so its v comes from a child
-    rng = random.Random(30)
-    rows = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+@contextlib.contextmanager
+def any_digits():
+    """Within, this process converts integers of any length to and from str.
+
+    The calls of main stay outside, under the interpreter's own limit
+    of 4,300 digits, which main lifts for itself.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# a 1 x 1 document whose entry has 5,001 digits, past the 4,300 limit
+HUGE = "7" * 5001
+
+
+@pytest.mark.parametrize("entry", [f'"{HUGE}"', HUGE],
+                         ids=["string", "JSON literal"])
+def test_snf_reads_an_entry_past_the_digit_limit(entry, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "entries": [[{entry}]]}}')
+    assert run(capsys, "snf", "--input", str(path)) == (
+        0, f"diagonal: {HUGE}\ncokernel: Z/{HUGE}\n", "")
+    code, out, _ = run(capsys, "snf", "--json", "--input", str(path))
+    assert (code, json.loads(out)["cokernel"]) == (0, f"Z/{HUGE}")
+
+
+def test_snf_json_spells_transforms_past_the_digit_limit(tmp_path, capsys):
+    # a dense singular 60 x 60 keeps the logged elimination, whose u
+    # grows past 4,300 digits at this seed
+    rng = random.Random(2)
+    rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
     rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
     path = tmp_path / "m.json"
     path.write_text(matrix_doc(rows))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    forked = run(capsys, "snf", "--json", "--input", str(path))
-    assert forked[0] == 0 and forks == [1]
-    monkeypatch.delattr(os, "fork")
-    assert run(capsys, "snf", "--json", "--input", str(path)) == forked
+    code, out, _ = run(capsys, "snf", "--json", "--input", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    with any_digits():
+        u, d, v = (IntegerMatrix.from_doc(payload[k]) for k in "udv")
+        assert u * IntegerMatrix(rows) * v == d
+        assert max(len(str(abs(x))) for row in u.entries()
+                   for x in row) > 4300
+
+
+def test_snf_json_round_trips_ten_thousand_digits(tmp_path, capsys):
+    with any_digits():
+        x = int("9" * 10000) + 2
+        m = IntegerMatrix([[x, 0], [0, 2 * x]])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_doc()))
+        expected = [str(x), str(2 * x)]
+    code, out, _ = run(capsys, "snf", "--json", "--input", str(path))
+    payload = json.loads(out)
+    assert (code, payload["diagonal"]) == (0, expected)
+    with any_digits():
+        u, d, v = (IntegerMatrix.from_doc(payload[k]) for k in "udv")
+        assert u * m * v == d == m
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+def test_main_leaves_the_callers_digit_limit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "entries": [["{HUGE}"]]}}')
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        assert run(capsys, "snf", "--input", str(path))[0] == 0
+        assert sys.get_int_max_str_digits() == 4321
+        assert run(capsys, "snf", "--input", "/no/such/file.json")[0] == 2
+        assert sys.get_int_max_str_digits() == 4321
+
+        def fault(word):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli, "continued_fraction", fault)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["cfrac", "3", "2"])
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # --------------------------------------------------------------- surgery
@@ -696,8 +768,8 @@ def run_child(*args):
 
 
 def test_cli_start_up_imports_no_heavy_modules():
-    # the two-core replay imports what it needs only when it runs, and
-    # the value types are plain slotted classes, not dataclasses
+    # the value types are plain slotted classes, not dataclasses, and
+    # nothing on the start-up path starts a thread or a process
     heavy = ("pickle", "threading", "multiprocessing", "concurrent.futures",
              "subprocess", "dataclasses", "inspect")
     proc = subprocess.run(
@@ -771,8 +843,8 @@ def test_exit_two_is_for_input_errors_alone(error, bad_input):
 
 def test_only_a_decode_error_from_json_load_is_bad_input(tmp_path, capsys,
                                                           monkeypatch):
-    # a JSON integer of more than 4,300 digits makes json.load raise a
-    # bare ValueError; that is a fault, not a document the user got wrong
+    # a bare ValueError from json.load is a fault, not a document the
+    # user got wrong
     path = tmp_path / "m.json"
     path.write_text(matrix_doc([[1]]))
 

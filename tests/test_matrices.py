@@ -1,10 +1,6 @@
-import copy
 import hashlib
 import os
-import pickle
 import random
-import signal
-import threading
 from math import gcd, prod
 
 import pytest
@@ -121,17 +117,6 @@ def test_immutability():
             delattr(m, name)
     assert (m.rows, m.cols, str(m)) == (1, 1, "[ 1 ]")
     assert m == IntegerMatrix([[1]])
-
-
-def test_matrix_survives_copy_and_pickle():
-    m = IntegerMatrix([[1, -2], [3, 10 ** 40]])
-    for twin in (copy.copy(m), copy.deepcopy(m),
-                 pickle.loads(pickle.dumps(m))):
-        assert twin == m and (twin.rows, twin.cols) == (2, 2)
-        with pytest.raises(AttributeError):
-            twin.rows = 3
-    empty = IntegerMatrix([], 4)
-    assert pickle.loads(pickle.dumps(empty)) == empty
 
 
 def test_multiplication():
@@ -394,7 +379,7 @@ def test_hermite_route_transforms_stay_within_hadamard_bound():
     assert proved >= 30
 
 
-# ------------------------------------------------------------ two-core replay
+# ------------------------------------------------------------ logged replay
 
 def dense(seed, r, c=None):
     """A seeded r x c matrix (square without c) of entries in [-9, 9]."""
@@ -416,236 +401,41 @@ GATE_INPUTS_DIGEST = (
 )
 
 
-def parts(m, smith=smith_normal_form):
-    form = smith(m)
-    return tuple(part.entries() for part in (form.u, form.d, form.v))
+def test_snf_transforms_of_gate_inputs_match_golden_digest():
+    h = hashlib.sha256()
+    for m in gate_inputs():
+        form = logged(m)
+        for part in (form.u, form.d, form.v):
+            h.update(repr(part.entries()).encode())
+    assert h.hexdigest() == GATE_INPUTS_DIGEST
 
 
 def singular(seed, k):
     """dense(seed, k) with its last row made the sum of its first two.
 
-    A nonsingular square matrix takes its Hermite form, which forks no
-    child; a singular one keeps the logged elimination and its gate.
+    A nonsingular square matrix takes its Hermite form; a singular one
+    keeps the logged elimination.
     """
     rows = [list(row) for row in dense(seed, k).entries()]
     rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
     return IntegerMatrix(rows)
 
 
-def in_process_parts(m, monkeypatch):
-    with monkeypatch.context() as patched:
-        patched.setattr(matrices, "_FORK_MIN", 10 ** 9)
-        return parts(m)
+# sha256 of u, d and v of singular(40, 40) and dense(1640, 40, 41),
+# recorded while a forked child replayed v of each
+LARGE_LOGGED_DIGEST = (
+    "4cb1b0e47403c672405593e1bbb0d9e3fe00f8714df663570e3910912b1e04f7"
+)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs for the gate, and the pids that called os.fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    calls = []
-    fork = os.fork
-
-    def counting():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return calls
-
-
-@pytest.fixture
-def reaped():
-    """After the test, this process has no child left, live or not."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def fds_closed():
-    """After the test, this process has the file descriptors it had before.
-
-    Checked where /proc/self/fd lists them, and nowhere else.
-    """
-    def open_fds():
-        try:
-            return set(os.listdir("/proc/self/fd"))
-        except FileNotFoundError:
-            return None
-
-    before = open_fds()
-    yield
-    assert open_fds() == before
-
-
-@pytest.mark.parametrize(
-    "case", ["parallel", "no fork", "a second thread", "below the gate"])
-def test_transforms_are_the_same_through_every_gate(case, forks, monkeypatch,
-                                                    reaped, fds_closed):
-    inputs = gate_inputs()
-    past_gate = sum(min(m.rows, m.cols) >= matrices._FORK_MIN
-                    for m in inputs)
-    assert past_gate >= 3
-    if case == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif case == "below the gate":
-        monkeypatch.setattr(matrices, "_FORK_MIN", 10 ** 9)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if case == "a second thread":
-        thread.start()
-    try:
-        h = hashlib.sha256()
-        for m in inputs:
-            for part in parts(m, logged):
-                h.update(repr(part).encode())
-    finally:
-        stop.set()
-        if case == "a second thread":
-            thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert h.hexdigest() == GATE_INPUTS_DIGEST
-    assert len(forks) == (past_gate if case == "parallel" else 0)
-
-
-@pytest.mark.parametrize("r, c, forked", [
-    (24, 24, 1), (24, 30, 1), (23, 23, 0), (40, 23, 0)])
-def test_the_gate_forks_from_min_rows_cols_24_on(r, c, forked, forks,
-                                                 monkeypatch, reaped,
-                                                 fds_closed):
-    m = singular(r * c, r) if r == c else dense(r * c, r, c)
-    expected = in_process_parts(m, monkeypatch)
-    assert parts(m) == expected
-    assert len(forks) == forked
-
-
-def test_one_usable_cpu_replays_in_process(forks, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    m = singular(36, 36)
-    smith_normal_form(m)
-    assert forks == []
-    # and two usable CPUs fork for this input
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    smith_normal_form(m)
-    assert len(forks) == 1
-
-
-def spy_replay(monkeypatch, in_child):
-    """Runs in_child(real rows) as the child's replay of v.
-
-    Returns the sizes this process replays at, u's and then v's if the
-    child fails.
-    """
-    parent = os.getpid()
-    replay = matrices._replay
-    calls = []
-
-    def spy(steps, n):
-        if os.getpid() != parent:
-            return in_child(replay(steps, n))
-        calls.append(n)
-        return replay(steps, n)
-
-    monkeypatch.setattr(matrices, "_replay", spy)
-    return calls
-
-
-def test_v_comes_from_the_child(forks, monkeypatch, reaped, fds_closed):
-    m = singular(40, 40)
-    expected = in_process_parts(m, monkeypatch)
-    replays = spy_replay(monkeypatch, lambda v: v)
-    assert parts(m) == expected
-    assert (len(forks), replays) == (1, [40])
-
-
-def fail(rows):
-    raise RuntimeError("the child failed")
-
-
-def exit_three(rows):
-    # every row is sent, then the child exits 3
-    exit = os._exit
-    os._exit = lambda status: exit(3)
-    return rows
-
-
-def exit_midway(rows):
-    # half of v goes out, and _exit drops what the child's write buffer
-    # still holds, which cuts the last frame short
-    yield from rows[:len(rows) // 2]
-    os._exit(0)
-
-
-@pytest.mark.parametrize("in_child", [
-    fail, exit_three, lambda rows: rows[:len(rows) // 2], exit_midway],
-    ids=["raises", "exits 3", "sends half", "exits midway"])
-def test_a_failed_child_leaves_v_to_this_process(in_child, forks,
-                                                 monkeypatch, reaped,
-                                                 fds_closed):
-    m = singular(40, 40)
-    expected = in_process_parts(m, monkeypatch)
-    replays = spy_replay(monkeypatch, in_child)
-    assert parts(m) == expected
-    assert (len(forks), replays) == (1, [40, 40])
-
-
-def test_a_child_reaped_elsewhere_leaves_v_to_this_process(forks,
-                                                          monkeypatch,
-                                                          reaped,
-                                                          fds_closed):
-    # with SIGCHLD ignored the kernel reaps the child, and waitpid fails
-    m = singular(40, 40)
-    expected = in_process_parts(m, monkeypatch)
-    replays = spy_replay(monkeypatch, lambda v: v)
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert parts(m) == expected
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert (len(forks), replays) == (1, [40, 40])
-
-
-@pytest.mark.parametrize("name", ["pipe", "fork"])
-def test_no_pipe_or_no_fork_replays_in_process(name, forks, monkeypatch,
-                                               reaped, fds_closed):
-    m = singular(40, 40)
-    expected = in_process_parts(m, monkeypatch)
-
+def test_large_logged_forms_replay_in_this_process(monkeypatch):
     def refuse():
-        raise OSError(11, "Resource temporarily unavailable")
+        raise AssertionError("a Smith form forked a process")
 
-    monkeypatch.setattr(os, name, refuse)
-    assert parts(m) == expected
-
-
-def test_a_failed_u_replay_reaps_the_child_and_raises(forks, monkeypatch,
-                                                      reaped, fds_closed):
-    # v of a 40 x 40 overfills the pipe, so the child waits on its write
-    # until the read end is closed
-    parent = os.getpid()
-    replay = matrices._replay
-
-    def fail_u(steps, n):
-        if os.getpid() == parent:
-            raise RuntimeError("u failed")
-        return replay(steps, n)
-
-    def deadlock(signum, frame):
-        raise TimeoutError("waited on a child blocked on its write")
-
-    monkeypatch.setattr(matrices, "_replay", fail_u)
-    previous = signal.signal(signal.SIGALRM, deadlock)
-    signal.alarm(30)
-    try:
-        with pytest.raises(RuntimeError, match="u failed"):
-            smith_normal_form(singular(40, 40))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) == 1
+    monkeypatch.setattr(os, "fork", refuse)
+    forms = [smith_normal_form(singular(40, 40)),
+             smith_normal_form(dense(1640, 40, 41))]
+    assert forms_digest(forms) == LARGE_LOGGED_DIGEST
 
 
 def ring_presentation(rng, k, necklace=False, open_components=0):
@@ -716,8 +506,7 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
-        for name in ("_full_smith", "_adjugate", "_replay_forked",
-                     "_replay"):
+        for name in ("_full_smith", "_adjugate", "_replay"):
             patched.setattr(matrices, name, refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
@@ -1047,17 +836,6 @@ def test_modular_hermite_form():
         assert not any(x % d for row in (IntegerMatrix(h)
                                          * IntegerMatrix(r)).entries()
                        for x in row)
-
-
-def test_smith_forms_survive_copy_and_pickle():
-    m = IntegerMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    eager = smith_normal_form(m)
-    for form in (eager, smith_normal_form(m, transforms=False)):
-        for twin in (copy.copy(form), copy.deepcopy(form),
-                     pickle.loads(pickle.dumps(form))):
-            # copying a group-only form reads, and so builds, u and v
-            assert (twin.u, twin.d, twin.v) == (eager.u, eager.d, eager.v)
-            assert twin.cokernel == eager.cokernel
 
 
 def test_cokernel_invariant_under_row_operations():
