@@ -52,10 +52,11 @@ print(f"  without transforms: {group_only.diagonal}")
 assert group_only.d == smith_normal_form(big).d
 
 # without transforms, the entries +-1 are dropped with their rows and
-# columns, and a dense nonsingular square rest larger than 2x2 is
-# diagonalized modulo its |det|, so no entry outgrows the determinant
+# columns, and a dense nonsingular square rest larger than 2x2 reads a
+# few columns of its adjugate: once their entries and |det| have gcd 1,
+# the cokernel is cyclic of order |det|, found with no elimination
 print()
-print("-- group only, modulo |det| --")
+print("-- group only, cyclic from the adjugate --")
 rng = random.Random(12)
 m12 = IntegerMatrix([[rng.randint(-9, 9) for _ in range(12)]
                      for _ in range(12)])
@@ -63,6 +64,33 @@ print(f"  a dense 12x12 with |det| = {abs(m12.det())}")
 group_only = smith_normal_form(m12, transforms=False)
 print(f"  cokernel {group_only.cokernel}")
 assert group_only.d == smith_normal_form(m12).d
+print("  the same d as the form with transforms")
+
+
+def unimodular(rng, n):
+    """L * U, unit lower and upper triangular, entries in [-2, 2]: det 1."""
+    lower = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    return IntegerMatrix(lower) * IntegerMatrix(upper)
+
+
+# a non-cyclic cokernel leaves a common factor in every adjugate
+# column, and then the rest is diagonalized modulo its |det|, so no
+# entry outgrows the determinant
+print()
+print("-- group only, modulo |det| --")
+rng = random.Random(3)
+diag = IntegerMatrix([[x * (i == j) for j in range(12)]
+                      for i, x in enumerate([1] * 10 + [2, 6])])
+mixed = unimodular(rng, 12) * diag * unimodular(rng, 12)
+print(f"  A * diag(1, ..., 1, 2, 6) * B, A and B unimodular 12x12,"
+      f" |det| = {abs(mixed.det())}")
+group_only = smith_normal_form(mixed, transforms=False)
+print(f"  cokernel {group_only.cokernel}")
+assert group_only.cokernel == cokernel(diag)
+assert group_only.d == smith_normal_form(mixed).d
 print("  the same d as the form with transforms")
 
 print()

@@ -14,15 +14,14 @@ elimination and a back substitution give: U and V then have entries
 about the size of |det M|, and only the k x k block of H's non-unit
 columns (k = 1 for most inputs whose cokernel is cyclic) is left to
 eliminate.  A singular or rectangular M, and that block, go to one
-elimination loop on a bare copy, which logs its row steps and its
-column steps; one replay builds U from the row steps and V from the
-column steps, each from the last step back, where the many late steps
-act on small numbers.  D alone needs neither route: it is found with
-no transforms by _group_diagonal, which reads a few columns of adj M
-to prove a cyclic cokernel, and a form found so makes U and V, the
-eager way, only if they are read.  From D the cokernel
-Z^cols / rowspan(M) is read off as an abelian group, which needs no
-transforms.  A second, independent route to the same invariant
+elimination loop (_eliminate), which starts U and the transpose of V
+at the identity and takes each of its row steps on U and each of its
+column steps on V^T as it takes it on M.  D alone needs neither
+route: it is found with no transforms by _group_diagonal, which reads
+a few columns of adj M to prove a cyclic cokernel, and a form found so
+makes U and V, the eager way, only if they are read.  From D the
+cokernel Z^cols / rowspan(M) is read off as an abelian group, which
+needs no transforms.  A second, independent route to the same invariant
 factors (gcds of k x k minors) is provided for cross-checking and is
 deliberately not implemented in terms of the first.
 """
@@ -265,11 +264,12 @@ class SmithForm(_Value):
     min(rows, cols) diagonal entries of d, set once where the form is
     made: __init__ reads them off d.  An eager form has u and v from
     _full_smith: for a nonsingular square m from its Hermite form, with
-    entries about the size of |det m|, and else from the logged
-    elimination.  A form made by smith_normal_form(m, transforms=False)
-    has d and diagonal from _group_diagonal and holds m in its slot _m.
-    Its u and v slots stay empty until the first read of either builds
-    both the eager way, by that same _full_smith (see __getattr__).
+    entries about the size of |det m|, and else from the elimination
+    that carries them.  A form made by smith_normal_form(m,
+    transforms=False) has d and diagonal from _group_diagonal and holds
+    m in its slot _m.  Its u and v slots stay empty until the first
+    read of either builds both the eager way, by that same _full_smith
+    (see __getattr__).
     """
 
     _fields = ("u", "d", "v")
@@ -305,12 +305,12 @@ class SmithForm(_Value):
                             tuple(x for x in self.diagonal if x >= 2))
 
 
-def _eliminate(a: list[list[int]], rows: list | None = None,
-               cols: list | None = None) -> list[int]:
+def _eliminate(a: list[list[int]], u: list | None = None,
+               vt: list | None = None) -> list[int]:
     """Bring the matrix a, a list of equally long rows, to Smith form.
 
     Returns the diagonal of d up to its trailing zeros.  a is changed in
-    place; given the lists below, it ends as d.  Pivots are chosen as the
+    place; given u and vt, it ends as d.  Pivots are chosen as the
     smallest nonzero entry in absolute value of the remaining
     submatrix, which keeps coefficient growth tame; of equally small
     entries the first in row-major order wins.  Each pivot is then used
@@ -329,25 +329,18 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
     A column operation skips the rows whose entry in the pivot column is
     0, where it would add 0; this too leaves the pivot sequence as it is.
 
-    Given lists as rows and cols, every row step is appended to rows
-    and every column step to cols, in the order taken, as a tuple
-    (t, swap, ops, k, flip) of a step at pivot t.  A clearing pass
-    appends (t, pi, row_ops, None, False) to rows and
-    (t, pj, col_ops, None, False) to cols: row pi and column pj were
-    swapped into place t, then row i lost q times row t for each
-    (i, q) in row_ops and column j lost q times column t for each
-    (j, q) in col_ops.  Pulling up the offending row k appends
-    (t, t, (), k, False) to rows, and negating row t at the end
-    appends (t, t, (), None, True).  _replay turns rows into the
-    transpose of u and cols into v.  Without the lists no quotient
-    list is built, so d alone pays nothing for the recording, and a
-    trailing block of one row, one column or 2 x 2 ends by gcds
-    (_small_diagonal) and stays in a as it is.
+    Given u and vt, lists of rows, each row step on a (swap, clearing,
+    pull-up, sign flip) is taken on the rows of u too, and each column
+    step on a (swap, clearing) on the rows of vt, as it is taken; from
+    the identity they end as u and the transpose of v, d = u * a * v
+    for the a given.  Without them, d alone is found, and a trailing
+    block of one row, one column or 2 x 2 ends by gcds (_small_diagonal)
+    and stays in a as it is.
     """
-    record = rows is not None
+    carry = u is not None
     nr, nc = len(a), len(a[0]) if a else 0
     for t in range(min(nr, nc)):
-        if not record and (nr - t < 2 or nc - t < 2 or nr - t == nc - t == 2):
+        if not carry and (nr - t < 2 or nc - t < 2 or nr - t == nc - t == 2):
             # every earlier pivot divides each entry of this block
             return ([a[i][i] for i in range(t)]
                     + _small_diagonal([row[t:] for row in a[t:]]))
@@ -372,25 +365,24 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
                 return [a[i][i] for i in range(t)]
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
+                if carry:
+                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
+                if carry:
+                    vt[t], vt[pj] = vt[pj], vt[t]
             top = a[t]
             pivot = top[t]
             dirty = False
-            if record:
-                # logged now, filled in by the clearing below
-                row_ops, col_ops = [], []
-                rows.append((t, pi, row_ops, None, False))
-                cols.append((t, pj, col_ops, None, False))
             for i in range(t + 1, nr):
                 row = a[i]
                 if row[t]:
                     q = row[t] // pivot
                     if q:
                         row = a[i] = [x - q * y for x, y in zip(row, top)]
-                        if record:
-                            row_ops.append((i, q))
+                        if carry:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if row[t]:
                         dirty = True
             for j in range(t + 1, nc):
@@ -400,8 +392,8 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
                         for row in a:
                             if row[t]:
                                 row[j] -= q * row[t]
-                        if record:
-                            col_ops.append((j, q))
+                        if carry:
+                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                     if top[j]:
                         dirty = True
             if dirty:
@@ -416,12 +408,12 @@ def _eliminate(a: list[list[int]], rows: list | None = None,
                 break
             # pull the bad row up; clearing it will shrink the pivot
             a[t] = [x + y for x, y in zip(top, a[k])]
-            if record:
-                rows.append((t, t, (), k, False))
+            if carry:
+                u[t] = [x + y for x, y in zip(u[t], u[k])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if record:
-                rows.append((t, t, (), None, True))
+            if carry:
+                u[t] = [-x for x in u[t]]
     return [a[i][i] for i in range(min(nr, nc))]
 
 
@@ -474,7 +466,7 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     e_j the unit vector of its column.  Where the kept columns leave a
     gcd above 1, the rest is diagonalized modulo delta (_diagonal_mod),
     so that no entry outgrows delta.  Any other rest, a singular or
-    sparse one among them, goes to _eliminate without a log, which
+    sparse one among them, goes to _eliminate without u and v, which
     pivots on its small entries and ends a block of one row, one column
     or 2 x 2 by gcds.
     """
@@ -522,55 +514,15 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
     return ones + _eliminate(a)
 
 
-def _replay(steps: list, n: int) -> list[list[int]]:
-    """The rows of the n x n product of steps _eliminate logged, last first.
-
-    The row steps E_1, ..., E_K make u = E_K ... E_1, and the column
-    steps F_1, ..., F_K make v = F_1 ... F_K.  Taken in order, each step
-    would act on the product of all steps before it, whose coefficients
-    keep growing.  Taken from the last step back, v is accumulated as
-    Y <- F_k * Y and u as X <- X * E_k, and both are a row operation:
-    on Y, and on the transpose of X, which is what the row steps give.
-    A step at pivot t touches indices >= t only, so the product of the
-    steps after it is the identity outside its trailing block, and only
-    the tails from index t on of its rows >= t change.  The many reruns
-    of late pivots so act on small numbers and short tails, and the few
-    early steps act last, on the full product.  Products are exact and
-    associative, so u and v are the ones the forward order gives.
-
-    Below about 20 x 20 there is little growth to save, and logging
-    and replaying a step costs more than carrying u and v along in a
-    wider elimination would: about a third more for a 6 x 6.
-    """
-    x = [[0] * n for _ in range(n)]
-    for i, row in enumerate(x):
-        row[i] = 1
-    for t, swap, ops, k, flip in reversed(steps):
-        top = x[t][t:]
-        if flip:
-            top = [-y for y in top]
-        elif k is not None:
-            x[k][t:] = [y + z for y, z in zip(x[k][t:], top)]
-        for i, q in ops:
-            top = [y - q * z for y, z in zip(top, x[i][t:])]
-        x[t][t:] = top
-        x[t], x[swap] = x[swap], x[t]
-    return x
-
-
-def _logged_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
-    """(u, d, v) of m: eliminate on a copy of m, then replay its steps.
-
-    u comes from _replay of the row steps and v from _replay of the
-    column steps, both in this process.
-    """
+def _eliminated_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
+    """(u, d, v) of m by _eliminate on a copy of m, u and v^T from I."""
     a = [list(row) for row in m.entries()]
-    rows, cols = [], []
-    _eliminate(a, rows, cols)
-    nr, nc = m.rows, m.cols
-    return (IntegerMatrix._trusted(zip(*_replay(rows, nr)), nr),
-            IntegerMatrix._trusted(a, nc),
-            IntegerMatrix._trusted(_replay(cols, nc), nc))
+    u, vt = ([[int(i == j) for j in range(n)] for i in range(n)]
+             for n in (m.rows, m.cols))
+    _eliminate(a, u, vt)
+    return (IntegerMatrix._trusted(u, m.rows),
+            IntegerMatrix._trusted(a, m.cols),
+            IntegerMatrix._trusted(zip(*vt), m.cols))
 
 
 def _adjugate_columns(a, keep: int) -> tuple | None:
@@ -649,7 +601,7 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     """(u, d, v) of m; for a nonsingular square m from its Hermite form.
 
     A rectangular or singular m (which _adjugate's forward elimination
-    finds) goes to _logged_smith.  Else let d and r = d * m^-1 be
+    finds) goes to _eliminated_smith.  Else let d and r = d * m^-1 be
     _adjugate's and delta = |d|.  The row Hermite form H = U0 * m is
     found modulo delta: where gcd(r) = d_1 ... d_(n-1) is 1 and an entry w_j of a column w
     of r is prime to delta (searched from the last row of r up), the
@@ -661,14 +613,14 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     is a unit vector, so a unit-triangular V1 (minus the rest of H's
     unit rows) and a permutation P, unit columns first, bring H to
     I + B, B the k x k block of H's other rows and columns; k = 1 where
-    H is read off w.  B goes to _logged_smith as u_B * B * v_B = d_B,
+    H is read off w.  B goes to _eliminated_smith as u_B * B * v_B = d_B,
     so d = I + d_B, u = (I + u_B) * P^T * U0 and v = V1 * P * (I + v_B).
     Every entry of U0 is at most n * max|r| and of V1 below delta.
     """
     n = m.rows
     adjugate = _adjugate(m) if n == m.cols else None
     if adjugate is None:
-        return _logged_smith(m)
+        return _eliminated_smith(m)
     d, r = adjugate
     delta = abs(d)
     hit = gcd(*chain.from_iterable(r)) == 1 and next(
@@ -694,7 +646,7 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     order = sorted(range(n), key=lambda i: h[i][i] != 1)
     k = sum(h[i][i] != 1 for i in range(n))
     rest = order[n - k:]
-    ub, db, vb = _logged_smith(IntegerMatrix._trusted(
+    ub, db, vb = _eliminated_smith(IntegerMatrix._trusted(
         [[h[i][j] for j in rest] for i in rest], k))
     u = [u0[i] for i in order]
     u[n - k:] = [_combine(line, u[n - k:], n) for line in ub.entries()]
@@ -832,12 +784,11 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     alone.  A nonsingular square m takes its Hermite form modulo
     |det m|, and u and v have entries about the size of |det m|; a
     singular or rectangular m (and the Hermite form's block of
-    non-unit columns) goes to the elimination, which runs on a bare
-    copy and logs its steps, and u and v are accumulated from that
-    log, from the last step back (see _replay); see _eliminate for the
-    pivot rule.  With transforms=False d and its diagonal alone are
-    found, by _group_diagonal, at a fraction of the cost, since u and v
-    are where the coefficients grow.  d is unique, so this finds the d
+    non-unit columns) goes to the elimination, which carries u and v
+    along with its steps; see _eliminate for the pivot rule.  With
+    transforms=False d and its diagonal alone are found, by
+    _group_diagonal, at a fraction of the cost, since u and v are where
+    the coefficients grow.  d is unique, so this finds the d
     the eager form has.  The form keeps m and builds u and v, equal to
     the eager ones, the eager way on the first read of either.
     """

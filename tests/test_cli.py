@@ -390,7 +390,7 @@ def test_snf_reads_an_entry_past_the_digit_limit(entry, tmp_path, capsys):
 
 
 def test_snf_json_spells_transforms_past_the_digit_limit(tmp_path, capsys):
-    # a dense singular 60 x 60 keeps the logged elimination, whose u
+    # a dense singular 60 x 60 keeps the elimination, whose u
     # grows past 4,300 digits at this seed
     rng = random.Random(2)
     rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]

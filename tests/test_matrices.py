@@ -230,9 +230,9 @@ def unit_rich_matrix(rng):
     return IntegerMatrix(rows, c)
 
 
-def logged(m):
-    """The form of m by the logged elimination, whatever the shape of m."""
-    return SmithForm(*matrices._logged_smith(m))
+def eliminated(m):
+    """The form of m by the elimination alone, whatever the shape of m."""
+    return SmithForm(*matrices._eliminated_smith(m))
 
 
 def forms_digest(forms):
@@ -253,7 +253,7 @@ PIVOT_SEQUENCE_DIGEST = (
 
 def test_snf_transforms_match_golden_digest():
     rng = random.Random(20261018)
-    forms = (logged(unit_rich_matrix(rng)) for _ in range(300))
+    forms = (eliminated(unit_rich_matrix(rng)) for _ in range(300))
     assert forms_digest(forms) == PIVOT_SEQUENCE_DIGEST
 
 
@@ -285,7 +285,7 @@ HARD_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_hard_inputs_match_golden_digest():
-    forms = map(logged, hard_snf_inputs())
+    forms = map(eliminated, hard_snf_inputs())
     assert forms_digest(forms) == HARD_INPUTS_DIGEST
 
 
@@ -309,12 +309,12 @@ GROWTH_INPUTS_DIGEST = (
 
 
 def test_snf_transforms_of_growth_inputs_match_golden_digest():
-    forms = map(logged, growth_inputs())
+    forms = map(eliminated, growth_inputs())
     assert forms_digest(forms) == GROWTH_INPUTS_DIGEST
 
 
 def hermite_route_inputs():
-    """The inputs of the four digests of the logged elimination, and more.
+    """The inputs of the four digests of the elimination, and more.
 
     unit_rich_matrix's 300 and gate_inputs(), which holds the family
     closings at n = 10^50 + 7 and -10^50 - 125; then non-cyclic
@@ -342,7 +342,7 @@ def test_snf_transforms_of_the_hermite_route_match_golden_digest():
     eager, deferred, noncyclic = [], [], 0
     for m in hermite_route_inputs():
         form = assert_snf_contract(m)
-        assert form.d == logged(m).d
+        assert form.d == eliminated(m).d
         eager.append(form)
         deferred.append(smith_normal_form(m, transforms=False))
         group = form.cokernel
@@ -360,7 +360,7 @@ def test_hermite_route_transforms_stay_within_hadamard_bound():
     # h = prod ||m_i||.  A row of H sums to at most |det m| + n - 1, so
     # U0 = H * adj(m) / det m has entries at most n * h, and V1's lie
     # below |det m| <= h: these bound u and v where H has at most one
-    # diagonal entry above 1.  The logged elimination of a block of
+    # diagonal entry above 1.  The elimination of a block of
     # k > 1 such columns acts on entries below |det m| with no proved
     # bound; it is allowed a factor (n * h)^2 per column beyond the first
     proved = 0
@@ -379,7 +379,7 @@ def test_hermite_route_transforms_stay_within_hadamard_bound():
     assert proved >= 30
 
 
-# ------------------------------------------------------------ logged replay
+# ------------------------------------------------- large eliminated forms
 
 def dense(seed, r, c=None):
     """A seeded r x c matrix (square without c) of entries in [-9, 9]."""
@@ -394,8 +394,8 @@ def gate_inputs():
     return [*growth_inputs(), *hard_snf_inputs(), dense(36, 36)]
 
 
-# sha256 of u, d and v over gate_inputs(), recorded with one process
-# replaying both u and v
+# sha256 of u, d and v over gate_inputs() by the elimination alone;
+# pins its pivot sequence on these inputs
 GATE_INPUTS_DIGEST = (
     "4a7aa854c379be7fd6c8e312c0fee2e0d1cb0ec2cf150a68529d1ce98e1d7678"
 )
@@ -404,7 +404,7 @@ GATE_INPUTS_DIGEST = (
 def test_snf_transforms_of_gate_inputs_match_golden_digest():
     h = hashlib.sha256()
     for m in gate_inputs():
-        form = logged(m)
+        form = eliminated(m)
         for part in (form.u, form.d, form.v):
             h.update(repr(part.entries()).encode())
     assert h.hexdigest() == GATE_INPUTS_DIGEST
@@ -414,15 +414,15 @@ def singular(seed, k):
     """dense(seed, k) with its last row made the sum of its first two.
 
     A nonsingular square matrix takes its Hermite form; a singular one
-    keeps the logged elimination.
+    keeps the elimination.
     """
     rows = [list(row) for row in dense(seed, k).entries()]
     rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
     return IntegerMatrix(rows)
 
 
-# sha256 of u, d and v of singular(40, 40) and dense(1640, 40, 41),
-# recorded while a forked child replayed v of each
+# sha256 of u, d and v of the eager forms of singular(40, 40) and
+# dense(1640, 40, 41), which both take the elimination
 LARGE_LOGGED_DIGEST = (
     "4cb1b0e47403c672405593e1bbb0d9e3fe00f8714df663570e3910912b1e04f7"
 )
@@ -506,7 +506,7 @@ def test_group_only_form_defers_the_eager_transforms(monkeypatch):
         raise AssertionError("group-only mode built transforms")
 
     with monkeypatch.context() as patched:
-        for name in ("_full_smith", "_adjugate", "_replay"):
+        for name in ("_full_smith", "_adjugate", "_eliminated_smith"):
             patched.setattr(matrices, name, refuse)
         forms = [smith_normal_form(m, transforms=False) for m in inputs]
         groups = [cokernel(m) for m in inputs]
@@ -563,9 +563,9 @@ def test_family_forms_take_no_euclid_pass(monkeypatch):
     entered, finished = [], []
     real_eliminate, real_small = matrices._eliminate, matrices._small_diagonal
 
-    def eliminate(a, *log):
+    def eliminate(a, *transforms):
         entered.append([row[:] for row in a])
-        return real_eliminate(a, *log)
+        return real_eliminate(a, *transforms)
 
     def small(a):
         finished.append(a)
@@ -664,8 +664,8 @@ def route_rows():
 
 
 def test_modular_route_matches_eliminate(monkeypatch):
-    # the certified finish shares no code with the logged _eliminate
-    # either, so its rows are checked against it too
+    # the certified finish shares no code with _eliminate either, so
+    # its rows are checked against it too
     inputs = {finish: [m for _, ms, f in route_rows() if f == finish
                        for m in ms] for finish in ("modular", "certified")}
     taken = []
@@ -677,10 +677,7 @@ def test_modular_route_matches_eliminate(monkeypatch):
 
     monkeypatch.setattr(matrices, "_diagonal_mod", spy)
     for m in inputs["modular"] + inputs["certified"]:
-        a = [list(row) for row in m.entries()]
-        # given the step logs, _eliminate leaves d in a
-        matrices._eliminate(a, [], [])
-        assert smith_normal_form(m, transforms=False).d == IntegerMatrix(a)
+        assert smith_normal_form(m, transforms=False).d == eliminated(m).d
     assert len(taken) == len(inputs["modular"])
     for ms in inputs.values():
         dets = [m.det() for m in ms]
@@ -778,7 +775,7 @@ def test_last_invariant_factor_from_the_adjugate():
     # gcd(adj m), and coker m is cyclic exactly when gcd(adj m) = 1.
     # The group-only route reads adjugate columns from the same kernel
     # for a cyclic dense rest; the routes that share no code with it are
-    # the logged _eliminate, sympy and minors_gcd_oracle, and det m here
+    # _eliminate, sympy and minors_gcd_oracle, and det m here
     # is the separate Bareiss elimination of IntegerMatrix.det
     inputs = adjugate_inputs()
     inputs += [m for _, ms, _ in route_rows() for m in ms
