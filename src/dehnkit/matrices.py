@@ -14,22 +14,25 @@ elimination and a back substitution give: U and V then have entries
 about the size of |det M|, and only the k x k block of H's non-unit
 columns (k = 1 for most inputs whose cokernel is cyclic) is left to
 eliminate.  A singular or rectangular M, and that block, go to one
-elimination loop (_eliminate), which starts U and the transpose of V
-at the identity and takes each of its row steps on U and each of its
-column steps on V^T as it takes it on M.  D alone needs neither
-route: it is found with no transforms by _group_diagonal, which reads
-a few columns of adj M to prove a cyclic cokernel, and a form found so
-makes U and V, the eager way, only if they are read.  From D the
-cokernel Z^cols / rowspan(M) is read off as an abelian group, which
-needs no transforms.  A second, independent route to the same invariant
-factors (gcds of k x k minors) is provided for cross-checking and is
-deliberately not implemented in terms of the first.
+elimination loop (_eliminate) on one block: M's rows carry their rows
+of U to the right, as [M | U], and V's rows sit below, so each row step
+and each column step is taken once, on whole rows or columns.  U and V
+start at the identity for M, and for the block at the Hermite route's
+rows of U and columns of V, which the elimination so composes with its
+own.  D alone needs neither route: it is found with no transforms by
+_group_diagonal, which reads a few columns of adj M to prove a cyclic
+cokernel, and a form found so makes U and V, the eager way, only if
+they are read.  From D the cokernel Z^cols / rowspan(M) is read off
+as an abelian group, which needs no transforms.  A second, independent
+route to the same invariant factors (gcds of k x k minors) is provided
+for cross-checking and is deliberately not implemented in terms of the
+first.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, prod
 from operator import index, mul
 
@@ -61,11 +64,15 @@ def doc_integer(x) -> int:
     """Read a document integer: an int, or a decimal string as to_doc writes.
 
     A string must match -?[0-9]+ in ASCII; int() alone would also take
-    '+', underscores, surrounding whitespace and non-ASCII digits.
+    '+', underscores, surrounding whitespace and non-ASCII digits.  Any
+    other string raises InputError.  Readers catch that, not every
+    ValueError, so that the ValueError Python raises for a string past
+    its int <-> str digit limit (sys.set_int_max_str_digits) reaches
+    the caller as it is, not as bad input.
     """
     if isinstance(x, str):
         if not re.fullmatch("-?[0-9]+", x):
-            raise ValueError(f"{x!r} is not a decimal integer")
+            raise InputError(f"{x!r} is not a decimal integer")
         return int(x)
     return integer(x)
 
@@ -230,7 +237,7 @@ class IntegerMatrix(_Value):
                     isinstance(row, list) for row in entries):
                 raise TypeError("entries must be an array of arrays")
             data = [list(map(doc_integer, row)) for row in entries]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, InputError) as exc:
             raise MatrixError(f"malformed matrix document: {exc}") from None
         if rows < 0 or cols < 0:
             raise MatrixError("matrix dimensions must be nonnegative")
@@ -265,7 +272,7 @@ class SmithForm(_Value):
     made: __init__ reads them off d.  An eager form has u and v from
     _full_smith: for a nonsingular square m from its Hermite form, with
     entries about the size of |det m|, and else from the elimination
-    that carries them.  A form made by smith_normal_form(m,
+    of the block [m | I] over I.  A form made by smith_normal_form(m,
     transforms=False) has d and diagonal from _group_diagonal and holds
     m in its slot _m.  Its u and v slots stay empty until the first
     read of either builds both the eager way, by that same _full_smith
@@ -305,21 +312,31 @@ class SmithForm(_Value):
                             tuple(x for x in self.diagonal if x >= 2))
 
 
-def _eliminate(a: list[list[int]], u: list | None = None,
-               vt: list | None = None) -> list[int]:
-    """Bring the matrix a, a list of equally long rows, to Smith form.
+def _eliminate(a: list[list[int]], shape: tuple[int, int] | None = None
+               ) -> list[int]:
+    """Bring the matrix in a, a list of rows, to Smith form in place.
 
-    Returns the diagonal of d up to its trailing zeros.  a is changed in
-    place; given u and vt, it ends as d.  Pivots are chosen as the
-    smallest nonzero entry in absolute value of the remaining
-    submatrix, which keeps coefficient growth tame; of equally small
-    entries the first in row-major order wins.  Each pivot is then used
-    to clear its row and column; any nonzero remainder becomes the
-    next, strictly smaller pivot candidate, so the inner loop
-    terminates.  Once the cross is clear, an entry of the submatrix not
-    divisible by the pivot (if any) is pulled into the pivot row by a
-    row addition and the reduction restarts; this is the standard trick
-    that forces the divisibility chain.
+    Returns the diagonal of d up to its trailing zeros.  Without shape,
+    a is the matrix, d alone is found, and a trailing block of one row,
+    one column or 2 x 2 ends by gcds (_small_diagonal) and stays in a as
+    it is.  With shape = (r, c), a is a block: its first r rows hold the
+    matrix in their first c columns with their rows of U to the right,
+    as [M | U], and the rows below hold V, each at least c long.  Each
+    row step (swap, clearing, pull-up, sign flip) is then taken on whole
+    rows of [M | U], and each column step (swap, clearing) on whole
+    columns of M over V, so M ends as d and, seeded with identities,
+    U as u and V as v, d = u * M * v; seeded with U0 and V0 they end as
+    u * U0 and V0 * v.
+
+    Pivots are chosen as the smallest nonzero entry in absolute value
+    of the remaining submatrix, which keeps coefficient growth tame; of
+    equally small entries the first in row-major order wins.  Each
+    pivot is then used to clear its row and column; any nonzero
+    remainder becomes the next, strictly smaller pivot candidate, so
+    the inner loop terminates.  Once the cross is clear, an entry of
+    the submatrix not divisible by the pivot (if any) is pulled into
+    the pivot row by a row addition and the reduction restarts; this is
+    the standard trick that forces the divisibility chain.
 
     No nonzero entry is smaller than a unit, so the pivot scan stops at
     the first entry of absolute value 1.  A full scan keeps the first
@@ -328,19 +345,10 @@ def _eliminate(a: list[list[int]], u: list | None = None,
     entry, so after a unit pivot the divisibility check is skipped.
     A column operation skips the rows whose entry in the pivot column is
     0, where it would add 0; this too leaves the pivot sequence as it is.
-
-    Given u and vt, lists of rows, each row step on a (swap, clearing,
-    pull-up, sign flip) is taken on the rows of u too, and each column
-    step on a (swap, clearing) on the rows of vt, as it is taken; from
-    the identity they end as u and the transpose of v, d = u * a * v
-    for the a given.  Without them, d alone is found, and a trailing
-    block of one row, one column or 2 x 2 ends by gcds (_small_diagonal)
-    and stays in a as it is.
     """
-    carry = u is not None
-    nr, nc = len(a), len(a[0]) if a else 0
+    nr, nc = shape or (len(a), len(a[0]) if a else 0)
     for t in range(min(nr, nc)):
-        if not carry and (nr - t < 2 or nc - t < 2 or nr - t == nc - t == 2):
+        if not shape and (nr - t < 2 or nc - t < 2 or nr - t == nc - t == 2):
             # every earlier pivot divides each entry of this block
             return ([a[i][i] for i in range(t)]
                     + _small_diagonal([row[t:] for row in a[t:]]))
@@ -365,13 +373,9 @@ def _eliminate(a: list[list[int]], u: list | None = None,
                 return [a[i][i] for i in range(t)]
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-                if carry:
-                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-                if carry:
-                    vt[t], vt[pj] = vt[pj], vt[t]
             top = a[t]
             pivot = top[t]
             dirty = False
@@ -381,8 +385,6 @@ def _eliminate(a: list[list[int]], u: list | None = None,
                     q = row[t] // pivot
                     if q:
                         row = a[i] = [x - q * y for x, y in zip(row, top)]
-                        if carry:
-                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if row[t]:
                         dirty = True
             for j in range(t + 1, nc):
@@ -392,8 +394,6 @@ def _eliminate(a: list[list[int]], u: list | None = None,
                         for row in a:
                             if row[t]:
                                 row[j] -= q * row[t]
-                        if carry:
-                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                     if top[j]:
                         dirty = True
             if dirty:
@@ -403,17 +403,13 @@ def _eliminate(a: list[list[int]], u: list | None = None,
                 # a unit divides everything
                 break
             k = next((i for i in range(t + 1, nr)
-                      if any(x % pivot for x in a[i][t + 1:])), None)
+                      if any(x % pivot for x in a[i][t + 1:nc])), None)
             if k is None:
                 break
             # pull the bad row up; clearing it will shrink the pivot
             a[t] = [x + y for x, y in zip(top, a[k])]
-            if carry:
-                u[t] = [x + y for x, y in zip(u[t], u[k])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if carry:
-                u[t] = [-x for x in u[t]]
     return [a[i][i] for i in range(min(nr, nc))]
 
 
@@ -515,14 +511,15 @@ def _group_diagonal(m: IntegerMatrix) -> list[int]:
 
 
 def _eliminated_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
-    """(u, d, v) of m by _eliminate on a copy of m, u and v^T from I."""
-    a = [list(row) for row in m.entries()]
-    u, vt = ([[int(i == j) for j in range(n)] for i in range(n)]
-             for n in (m.rows, m.cols))
-    _eliminate(a, u, vt)
-    return (IntegerMatrix._trusted(u, m.rows),
-            IntegerMatrix._trusted(a, m.cols),
-            IntegerMatrix._trusted(zip(*vt), m.cols))
+    """(u, d, v) of m by _eliminate on the block [m | I] over I."""
+    r, c = m.rows, m.cols
+    a = [[*row, *(int(i == j) for j in range(r))]
+         for i, row in enumerate(m.entries())]
+    a += ([int(i == j) for j in range(c)] for i in range(c))
+    _eliminate(a, (r, c))
+    return (IntegerMatrix._trusted([row[c:] for row in a[:r]], r),
+            IntegerMatrix._trusted([row[:c] for row in a[:r]], c),
+            IntegerMatrix._trusted(a[r:], c))
 
 
 def _adjugate_columns(a, keep: int) -> tuple | None:
@@ -603,18 +600,21 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     A rectangular or singular m (which _adjugate's forward elimination
     finds) goes to _eliminated_smith.  Else let d and r = d * m^-1 be
     _adjugate's and delta = |d|.  The row Hermite form H = U0 * m is
-    found modulo delta: where gcd(r) = d_1 ... d_(n-1) is 1 and an entry w_j of a column w
-    of r is prime to delta (searched from the last row of r up), the
-    row span of m is {x : x . w = 0 mod delta}, and H has the rows
-    e_i + c_i * e_j, c_i = -w_i / w_j mod delta, and delta * e_j;
-    where not, H is _hermite_mod's.  U0 = H * r / d, and RuntimeError
-    is raised unless that division is exact and H's diagonal
-    multiplies to delta, which makes det U0 = +-1.  A unit column of H
-    is a unit vector, so a unit-triangular V1 (minus the rest of H's
-    unit rows) and a permutation P, unit columns first, bring H to
-    I + B, B the k x k block of H's other rows and columns; k = 1 where
-    H is read off w.  B goes to _eliminated_smith as u_B * B * v_B = d_B,
-    so d = I + d_B, u = (I + u_B) * P^T * U0 and v = V1 * P * (I + v_B).
+    found modulo delta: where an entry w_j of a column w of r is prime
+    to delta (searched from the last row of r up), gcd(r) =
+    d_1 ... d_(n-1), which divides both, is 1, so the row span of m is
+    {x : x . w = 0 mod delta}, and H has the rows e_i + c_i * e_j,
+    c_i = -w_i / w_j mod delta, and delta * e_j; where not, H is
+    _hermite_mod's.  U0 = H * r / d, and RuntimeError is raised unless
+    that division is exact and H's diagonal multiplies to delta, which
+    makes det U0 = +-1.  A unit column of H is a unit vector, so a
+    unit-triangular V1 (minus the rest of H's unit rows) and a
+    permutation P, unit columns first, bring H to I + B, B the k x k
+    block of H's other rows and columns; k = 1 where H is read off w.
+    _eliminate takes B as a block, its rows of P^T * U0 to the right
+    and the last k columns of V1 * P below, so it ends with d_B =
+    u_B * B * v_B, those rows times u_B and those columns times v_B:
+    d = I + d_B, u = (I + u_B) * P^T * U0 and v = V1 * P * (I + v_B).
     Every entry of U0 is at most n * max|r| and of V1 below delta.
     """
     n = m.rows
@@ -623,9 +623,8 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
         return _eliminated_smith(m)
     d, r = adjugate
     delta = abs(d)
-    hit = gcd(*chain.from_iterable(r)) == 1 and next(
-        ((j, c) for j in reversed(range(n)) for c, x in enumerate(r[j])
-         if gcd(x, delta) == 1), None)
+    hit = next(((j, c) for j in reversed(range(n))
+                for c, x in enumerate(r[j]) if gcd(x, delta) == 1), None)
     if hit:
         j, c = hit
         inverse = pow(r[j][c], -1, delta)
@@ -646,18 +645,18 @@ def _full_smith(m: IntegerMatrix) -> tuple[IntegerMatrix, ...]:
     order = sorted(range(n), key=lambda i: h[i][i] != 1)
     k = sum(h[i][i] != 1 for i in range(n))
     rest = order[n - k:]
-    ub, db, vb = _eliminated_smith(IntegerMatrix._trusted(
-        [[h[i][j] for j in rest] for i in rest], k))
-    u = [u0[i] for i in order]
-    u[n - k:] = [_combine(line, u[n - k:], n) for line in ub.entries()]
     v = []
     for i, row in enumerate(h):
         # row i of V1 * P: 2 * e_i - H_i on a unit row, e_i on the rest
         unit = row[i] == 1
-        line = [(1 + unit) * (i == j) - unit * row[j] for j in order]
-        v.append(line[:n - k] + _combine(line[n - k:], vb.entries(), k))
+        v.append([(1 + unit) * (i == j) - unit * row[j] for j in order])
+    block = [[h[i][j] for j in rest] + u0[i] for i in rest]
+    block += (line[n - k:] for line in v)
+    diagonal = _eliminate(block, (k, k))
+    u = [u0[i] for i in order[:n - k]] + [row[k:] for row in block[:k]]
+    v = [line[:n - k] + tail for line, tail in zip(v, block[k:])]
     return (IntegerMatrix._trusted(u, n),
-            _diagonal([1] * (n - k) + [db[i, i] for i in range(k)], n, n),
+            _diagonal([1] * (n - k) + diagonal, n, n),
             IntegerMatrix._trusted(v, n))
 
 
@@ -784,8 +783,8 @@ def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
     alone.  A nonsingular square m takes its Hermite form modulo
     |det m|, and u and v have entries about the size of |det m|; a
     singular or rectangular m (and the Hermite form's block of
-    non-unit columns) goes to the elimination, which carries u and v
-    along with its steps; see _eliminate for the pivot rule.  With
+    non-unit columns) goes to the elimination, which takes each step
+    once on m, u and v as one block; see _eliminate for the pivot rule.  With
     transforms=False d and its diagonal alone are found, by
     _group_diagonal, at a fraction of the cost, since u and v are where
     the coefficients grow.  d is unique, so this finds the d

@@ -46,14 +46,12 @@ class Slope(_Value):
         """Parse 'p/q' or a bare 'p' (p/1); p, q match -?[0-9]+ exactly."""
         if not isinstance(text, str):
             raise TypeError(f"{text!r} is not a string")
+        a, slash, b = text.partition("/")
         try:
-            if "/" in text:
-                a, b = text.split("/")
-                return cls(doc_integer(a), doc_integer(b))
-            return cls(doc_integer(text), 1)
+            return cls(doc_integer(a), doc_integer(b) if slash else 1)
         except SlopeError:
             raise
-        except ValueError:
+        except InputError:
             raise SlopeError(f"cannot parse slope from {text!r}") from None
 
     def __str__(self):

@@ -92,7 +92,7 @@ class FramedLink(_Value):
             return self.labels.index(component)
         try:
             i = doc_integer(component)
-        except ValueError:
+        except InputError:
             raise SurgeryError(
                 f"no component labelled {component!r}; "
                 f"have {', '.join(self.labels)}"
@@ -143,7 +143,7 @@ class FramedLink(_Value):
             if not isinstance(labels, list) or not all(
                     isinstance(s, str) for s in labels):
                 raise TypeError("labels must be an array of strings")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, InputError) as exc:
             raise SurgeryError(f"malformed link document: {exc}") from None
         fillings = doc.get("fillings", {})
         if not isinstance(fillings, dict) or not all(

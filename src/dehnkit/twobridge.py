@@ -51,12 +51,13 @@ class ConwayWord(_Value):
         if not isinstance(text, str):
             raise TypeError(f"{text!r} is not a string")
         parts = [entry.split() for entry in text.split(",")]
-        try:
-            if not all(parts):
-                raise ValueError
-            return cls(tuple(doc_integer(x) for part in parts for x in part))
-        except ValueError:
-            raise TangleError(f"cannot parse Conway word from {text!r}") from None
+        if all(parts):
+            try:
+                return cls(tuple(doc_integer(x) for part in parts
+                                 for x in part))
+            except InputError:
+                pass
+        raise TangleError(f"cannot parse Conway word from {text!r}")
 
     def mirror(self) -> "ConwayWord":
         """Mirror image: negate every twist count."""

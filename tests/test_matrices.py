@@ -423,19 +423,69 @@ def singular(seed, k):
 
 # sha256 of u, d and v of the eager forms of singular(40, 40) and
 # dense(1640, 40, 41), which both take the elimination
-LARGE_LOGGED_DIGEST = (
+LARGE_ELIMINATED_DIGEST = (
     "4cb1b0e47403c672405593e1bbb0d9e3fe00f8714df663570e3910912b1e04f7"
 )
 
 
-def test_large_logged_forms_replay_in_this_process(monkeypatch):
+def test_large_eliminated_forms_match_digest_in_this_process(monkeypatch):
     def refuse():
         raise AssertionError("a Smith form forked a process")
 
     monkeypatch.setattr(os, "fork", refuse)
     forms = [smith_normal_form(singular(40, 40)),
              smith_normal_form(dense(1640, 40, 41))]
-    assert forms_digest(forms) == LARGE_LOGGED_DIGEST
+    assert forms_digest(forms) == LARGE_ELIMINATED_DIGEST
+
+
+def seeded_blocks():
+    """diag(2, 3), then seeded matrices up to 6 x 6 of every shape.
+
+    One in four as drawn, one with a zero row, one with a zero column
+    and one with its last row the sum of its first two.
+    """
+    yield diag(2, 3)
+    rng = random.Random(3434)
+    for case in range(400):
+        m = random_matrix(rng)
+        rows = [list(row) for row in m.entries()]
+        if case % 4 == 1 and rows:
+            rows[rng.randrange(m.rows)] = [0] * m.cols
+        elif case % 4 == 2 and m.cols:
+            j = rng.randrange(m.cols)
+            for row in rows:
+                row[j] = 0
+        elif case % 4 == 3 and m.rows > 2:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        yield IntegerMatrix(rows, m.cols)
+
+
+def test_a_seeded_block_composes_its_transforms():
+    # the Hermite route seeds the block [B | S] over R with its rows of
+    # U and columns of V; the elimination must end with u_B * S and
+    # R * v_B, (u_B, d_B, v_B) the form of B from identity seeds
+    rng = random.Random(34)
+    shapes = set()
+    for b in seeded_blocks():
+        r, c = b.rows, b.cols
+        form = eliminated(b)
+        w, h = rng.randint(0, 4), rng.randint(0, 4)
+        s = IntegerMatrix([[rng.randint(-10 ** 20, 10 ** 20) for _ in range(w)]
+                           for _ in range(r)], w)
+        below = IntegerMatrix(
+            [[rng.randint(-10 ** 20, 10 ** 20) for _ in range(c)]
+             for _ in range(h)], c)
+        a = [[*x, *y] for x, y in zip(b.entries(), s.entries())]
+        a += [list(row) for row in below.entries()]
+        diagonal = matrices._eliminate(a, (r, c))
+        assert IntegerMatrix([row[:c] for row in a[:r]], c) == form.d
+        assert diagonal == list(form.diagonal[:len(diagonal)])
+        assert not any(form.diagonal[len(diagonal):])
+        assert IntegerMatrix([row[c:] for row in a[:r]], w) == form.u * s
+        assert IntegerMatrix(a[r:], c) == below * form.v
+        shapes.add((r == c, form.rank < min(r, c)))
+    assert shapes == {(True, True), (True, False), (False, True),
+                      (False, False)}
 
 
 def ring_presentation(rng, k, necklace=False, open_components=0):
@@ -563,9 +613,9 @@ def test_family_forms_take_no_euclid_pass(monkeypatch):
     entered, finished = [], []
     real_eliminate, real_small = matrices._eliminate, matrices._small_diagonal
 
-    def eliminate(a, *transforms):
+    def eliminate(a, shape=None):
         entered.append([row[:] for row in a])
-        return real_eliminate(a, *transforms)
+        return real_eliminate(a, shape)
 
     def small(a):
         finished.append(a)

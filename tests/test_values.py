@@ -5,12 +5,15 @@ Name(field=value, ...) (IntegerMatrix as IntegerMatrix(rows, cols=c)),
 refuses assignment and deletion, and comes back equal from copy,
 deepcopy and pickle.  The types and the functions that build them take
 Python integers only: a float, a string or a boolean raises TypeError,
-and the text parsers take strings only.
+and the text parsers take strings only.  A reader given an integer
+past Python's int <-> str digit limit raises Python's own ValueError,
+not bad input.
 """
 
 import copy
 import pickle
 import re
+import sys
 
 import pytest
 
@@ -215,3 +218,35 @@ def test_value_types_take_integers_only(name):
         message = NAMES_THE_VALUE[name]
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(*args)
+
+
+# 10,000 digits, past the interpreter's default limit of 4,300
+LONG = "7" * 10000
+
+# (a reader, its argument): each reads LONG as an integer
+READS_INTEGERS = {
+    "IntegerMatrix.from_doc": (
+        IntegerMatrix.from_doc, {"rows": 1, "cols": 1, "entries": [[LONG]]}),
+    "FramedLink.from_doc": (
+        FramedLink.from_doc, {"components": 1, "linking": [[LONG]]}),
+    "FramedLink.index": (HOPF.index, LONG),
+    "Slope.parse": (Slope.parse, f"1/{LONG}"),
+    "ConwayWord.parse": (ConwayWord.parse, f"2, {LONG}"),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+@pytest.mark.parametrize("name", READS_INTEGERS)
+def test_readers_pass_the_digit_limit_on(name):
+    # the limit is the caller's setting, not bad input: Python's
+    # ValueError, which names the setter, is not an InputError
+    call, arg = READS_INTEGERS[name]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match="set_int_max_str_digits") as exc:
+            call(arg)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert exc.type is ValueError
