@@ -47,24 +47,24 @@ print("-- arbitrary precision is free --")
 big = IntegerMatrix([[10 ** 40, 1], [1, 10 ** 40]])
 print(f"  det of a 2x2 with 10^40 entries: {big.det()}")
 print(f"  diagonal: {smith_normal_form(big).diagonal}")
-group_only = smith_normal_form(big, transforms=False)
-print(f"  without transforms: {group_only.diagonal}")
-assert group_only.d == smith_normal_form(big).d
+group_only = cokernel(big)
+print(f"  cokernel, without transforms: {group_only}")
+assert group_only == smith_normal_form(big).cokernel
 
-# without transforms, the entries +-1 are dropped with their rows and
-# columns, and a dense nonsingular square rest larger than 2x2 reads a
-# few columns of its adjugate: once their entries and |det| have gcd 1,
-# the cokernel is cyclic of order |det|, found with no elimination
+# cokernel finds no transforms: the entries +-1 are dropped with their
+# rows and columns, and a dense nonsingular square rest larger than 2x2
+# reads a few columns of its adjugate: once their entries and |det| have
+# gcd 1, the cokernel is cyclic of order |det|, found with no elimination
 print()
 print("-- group only, cyclic from the adjugate --")
 rng = random.Random(12)
 m12 = IntegerMatrix([[rng.randint(-9, 9) for _ in range(12)]
                      for _ in range(12)])
 print(f"  a dense 12x12 with |det| = {abs(m12.det())}")
-group_only = smith_normal_form(m12, transforms=False)
-print(f"  cokernel {group_only.cokernel}")
-assert group_only.d == smith_normal_form(m12).d
-print("  the same d as the form with transforms")
+group_only = cokernel(m12)
+print(f"  cokernel {group_only}")
+assert group_only == smith_normal_form(m12).cokernel
+print("  the same group as the form with transforms")
 
 
 def unimodular(rng, n):
@@ -87,11 +87,11 @@ diag = IntegerMatrix([[x * (i == j) for j in range(12)]
 mixed = unimodular(rng, 12) * diag * unimodular(rng, 12)
 print(f"  A * diag(1, ..., 1, 2, 6) * B, A and B unimodular 12x12,"
       f" |det| = {abs(mixed.det())}")
-group_only = smith_normal_form(mixed, transforms=False)
-print(f"  cokernel {group_only.cokernel}")
-assert group_only.cokernel == cokernel(diag)
-assert group_only.d == smith_normal_form(mixed).d
-print("  the same d as the form with transforms")
+group_only = cokernel(mixed)
+print(f"  cokernel {group_only}")
+assert group_only == cokernel(diag)
+assert group_only == smith_normal_form(mixed).cokernel
+print("  the same group as the form with transforms")
 
 print()
 print("-- documents --")

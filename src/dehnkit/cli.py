@@ -26,7 +26,7 @@ import re
 import sys
 
 from .matrices import (
-    InputError, IntegerMatrix, doc_integer, smith_normal_form,
+    InputError, IntegerMatrix, cokernel, doc_integer, smith_normal_form,
 )
 from .slopes import Slope, SlopeInvolution, distance, fixed_slopes
 from .surgery import (
@@ -153,16 +153,21 @@ def _cmd_lens(args) -> tuple[dict, str]:
 
 def _cmd_snf(args) -> tuple[dict, str]:
     m = IntegerMatrix.from_doc(_read_doc(args.input))
-    # text mode prints only the diagonal and the group; --json adds u, v
-    snf = smith_normal_form(m, transforms=args.json)
-    group = snf.cokernel
-    payload = {
-        "diagonal": [str(d) for d in snf.diagonal],
-        "rank": snf.rank,
-        "cokernel": str(group),
-    }
+    payload = {}
     if args.json:
+        snf = smith_normal_form(m)
+        group, diagonal, rank = snf.cokernel, snf.diagonal, snf.rank
         payload.update(u=snf.u, d=snf.d, v=snf.v)
+    else:
+        # text mode prints only the diagonal and the group, which need
+        # no u and v: rank - k ones, the k invariant factors, then zeros
+        group = cokernel(m)
+        rank = m.cols - group.free_rank
+        factors = group.invariant_factors
+        diagonal = [*[1] * (rank - len(factors)), *factors,
+                    *[0] * (min(m.rows, m.cols) - rank)]
+    payload.update(diagonal=[str(d) for d in diagonal], rank=rank,
+                   cokernel=str(group))
     diagonal = " ".join(["diagonal:", *payload["diagonal"]])
     return payload, f"{diagonal}\ncokernel: {group}"
 

@@ -19,11 +19,10 @@ of U to the right, as [M | U], and V's rows sit below, so each row step
 and each column step is taken once, on whole rows or columns.  U and V
 start at the identity for M, and for the block at the Hermite route's
 rows of U and columns of V, which the elimination so composes with its
-own.  D alone needs neither route: it is found with no transforms by
-_group_diagonal, which reads a few columns of adj M to prove a cyclic
-cokernel, and a form found so makes U and V, the eager way, only if
-they are read.  From D the cokernel Z^cols / rowspan(M) is read off
-as an abelian group, which needs no transforms.  A second, independent
+own.  The cokernel Z^cols / rowspan(M) needs neither route: it is
+read off as an abelian group from the diagonal of D, which
+_group_diagonal finds with no transforms, reading a few columns of
+adj M to prove a cyclic cokernel.  A second, independent
 route to the same invariant factors (gcds of k x k minors) is provided
 for cross-checking and is deliberately not implemented in terms of the
 first.
@@ -268,19 +267,12 @@ class SmithForm(_Value):
 
     u and v are unimodular, d is diagonal with nonnegative entries and
     each diagonal entry divides the next.  diagonal holds the
-    min(rows, cols) diagonal entries of d, set once where the form is
-    made: __init__ reads them off d.  An eager form has u and v from
-    _full_smith: for a nonsingular square m from its Hermite form, with
-    entries about the size of |det m|, and else from the elimination
-    of the block [m | I] over I.  A form made by smith_normal_form(m,
-    transforms=False) has d and diagonal from _group_diagonal and holds
-    m in its slot _m.  Its u and v slots stay empty until the first
-    read of either builds both the eager way, by that same _full_smith
-    (see __getattr__).
+    min(rows, cols) diagonal entries of d, which __init__ reads off d
+    once.
     """
 
     _fields = ("u", "d", "v")
-    __slots__ = _fields + ("diagonal", "_m")
+    __slots__ = _fields + ("diagonal",)
 
     def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix):
         object.__setattr__(self, "u", u)
@@ -289,18 +281,6 @@ class SmithForm(_Value):
         object.__setattr__(self, "diagonal", tuple(
             d[i, i] for i in range(min(d.rows, d.cols))))
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks, an empty
-        # slot included: u and v of a group-only form, until this first
-        # read builds them; two threads reading at once may both build,
-        # and build equal ones
-        if name not in ("u", "v") or not hasattr(self, "_m"):
-            raise AttributeError(name)
-        u, _, v = _full_smith(self._m)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        return u if name == "u" else v
-
     @property
     def rank(self) -> int:
         return len(self.diagonal) - self.diagonal.count(0)
@@ -308,8 +288,18 @@ class SmithForm(_Value):
     @property
     def cokernel(self) -> "AbelianGroup":
         """The group Z^cols / (row span of m); see cokernel()."""
-        return AbelianGroup(self.d.cols - self.rank,
-                            tuple(x for x in self.diagonal if x >= 2))
+        return _group(self.diagonal, self.d.cols)
+
+
+def _group(diagonal, cols: int) -> "AbelianGroup":
+    """Z^cols / (row span of m), from the Smith diagonal of m.
+
+    Each column without a nonzero diagonal entry gives a free summand,
+    so trailing zeros may be left out of diagonal, and each entry >= 2
+    a finite cyclic summand.
+    """
+    return AbelianGroup(cols - len(diagonal) + diagonal.count(0),
+                        tuple(x for x in diagonal if x >= 2))
 
 
 def _eliminate(a: list[list[int]], shape: tuple[int, int] | None = None
@@ -687,7 +677,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _clear(top: list[int], row: list[int], mod: int) -> tuple[list, list]:
     """(top, row) after 2 x 2 row steps of determinant 1, modulo mod.
 
-    0 <= top[0] and 0 < row[0] < mod.  The new row[0] is 0: the exact
+    0 <= top[0] and 0 < row[0].  The new row[0] is 0: the exact
     quotient where top[0] divides row[0], and else the combination
     [[s, u], [-b/g, p/g]] from _xgcd(p, b) of p = top[0], b = row[0],
     which leaves their gcd g in top[0].
@@ -732,7 +722,7 @@ def _hermite_mod(a, delta: int) -> list[list[int]]:
                 row[t:] = [(x - q * y) % r for x, y in zip(row[t:], top)]
         h.append([0] * t + top)
         r //= g
-        a = [[x % r for x in row[1:]] for row in a[1:]]
+        a = [row[1:] for row in a[1:]]
     return h
 
 
@@ -776,30 +766,18 @@ def _diagonal_mod(a: list[list[int]], delta: int) -> list[int]:
     return diagonal
 
 
-def smith_normal_form(m: IntegerMatrix, transforms: bool = True) -> SmithForm:
+def smith_normal_form(m: IntegerMatrix) -> SmithForm:
     """Smith normal form d = u * m * v with explicit unimodular transforms.
 
-    With transforms (the default) _full_smith picks the route by m
-    alone.  A nonsingular square m takes its Hermite form modulo
-    |det m|, and u and v have entries about the size of |det m|; a
-    singular or rectangular m (and the Hermite form's block of
-    non-unit columns) goes to the elimination, which takes each step
-    once on m, u and v as one block; see _eliminate for the pivot rule.  With
-    transforms=False d and its diagonal alone are found, by
-    _group_diagonal, at a fraction of the cost, since u and v are where
-    the coefficients grow.  d is unique, so this finds the d
-    the eager form has.  The form keeps m and builds u and v, equal to
-    the eager ones, the eager way on the first read of either.
+    _full_smith picks the route by m alone.  A nonsingular square m
+    takes its Hermite form modulo |det m|, and u and v have entries
+    about the size of |det m|; a singular or rectangular m (and the
+    Hermite form's block of non-unit columns) goes to the elimination,
+    which takes each step once on m, u and v as one block; see
+    _eliminate for the pivot rule.  The group alone needs no u and v,
+    which are where the coefficients grow: see cokernel.
     """
-    if transforms:
-        return SmithForm(*_full_smith(m))
-    diagonal = _group_diagonal(m)
-    diagonal += [0] * (min(m.rows, m.cols) - len(diagonal))
-    form = object.__new__(SmithForm)
-    object.__setattr__(form, "d", _diagonal(diagonal, m.rows, m.cols))
-    object.__setattr__(form, "diagonal", tuple(diagonal))
-    object.__setattr__(form, "_m", m)
-    return form
+    return SmithForm(*_full_smith(m))
 
 
 class AbelianGroup(_Value):
@@ -849,13 +827,13 @@ class AbelianGroup(_Value):
 def cokernel(m: IntegerMatrix) -> AbelianGroup:
     """The group Z^cols / (row span of m).
 
-    Columns are generators, rows are relations.  Computed from the
-    Smith diagonal: zero diagonal entries and missing pivots contribute
-    free summands, entries >= 2 contribute finite cyclic summands.  The
-    group needs no transforms, so the diagonal is found from m alone,
-    by smith_normal_form with transforms=False (see _group_diagonal).
+    Columns are generators, rows are relations.  The group needs no
+    transforms, so it is read off the Smith diagonal that
+    _group_diagonal finds from m alone, at a fraction of the cost of
+    smith_normal_form; d is unique, so that is the diagonal of the
+    eager form.
     """
-    return smith_normal_form(m, transforms=False).cokernel
+    return _group(_group_diagonal(m), m.cols)
 
 
 def minors_gcd_oracle(m: IntegerMatrix) -> AbelianGroup:

@@ -588,8 +588,8 @@ def test_outputs_are_deterministic(capsys):
 
 
 # (argv, exit code, sha256 of stdout), recorded before the handlers
-# returned their results to one printer; "{small}", "{m12}" and
-# "{link}" name the documents written by _golden_documents
+# returned their results to one printer; a name in braces, such as
+# "{small}", names a document written by _golden_documents
 EMPTY = hashlib.sha256(b"").hexdigest()
 GOLDEN = [
     (("slope", "normalize", "-2", "-4"),
@@ -659,6 +659,32 @@ GOLDEN = [
      0, "5c61a8250336a2af69dcd586e8fed6a686c46784a9ee464157a8ebdcffe8f109"),
     (("snf", "--input", "/no/such/file.json"),
      2, EMPTY),
+    # zeros and empty shapes in the diagonal: singular, rectangular both
+    # ways, all zero, no rows and no columns
+    (("snf", "--input", "{singular}"),
+     0, "7b8993ea2aa5c0ce87941559c7adae69d5b41e6d55782288fed00dc6b8c5e355"),
+    (("snf", "--json", "--input", "{singular}"),
+     0, "26d98e9b0ad28e4a823777953d7fc20edd5bb578c0be57d583933f8c6411341d"),
+    (("snf", "--input", "{rect}"),
+     0, "15b19818f4796dfdcdd91e7a3eb48862c005e9dd3e85fd7760045451bf208066"),
+    (("snf", "--json", "--input", "{rect}"),
+     0, "2821fcd39d489c13382f5f9ee28bc7e585a93a9f0a74737cbcffd07667b08598"),
+    (("snf", "--input", "{tall}"),
+     0, "e2c541be8212849b709d20f8136d55c2b24dc9e813e96ea5e94ac907b2213336"),
+    (("snf", "--json", "--input", "{tall}"),
+     0, "7101d1f2592301ec1fda8a9d0d0118cd1d56b7e4e6d5e7f74834b30969e37999"),
+    (("snf", "--input", "{zero}"),
+     0, "4fd9c313e80d4770e05792a15537b2c0a7a1701b0bc301a6f25eeb76093366f3"),
+    (("snf", "--json", "--input", "{zero}"),
+     0, "63140593dbbedb8e99648c57f1dee95664d55de59540bac73c9e62bddecef6df"),
+    (("snf", "--input", "{norows}"),
+     0, "a208e46a68cd33bd600f86e4595de99de960df98549a1b00fc26d24794b1e4ba"),
+    (("snf", "--json", "--input", "{norows}"),
+     0, "aea78df3f641a363450f0c718983e926d8c79feda58f52c931138b73708a53ab"),
+    (("snf", "--input", "{nocols}"),
+     0, "53a2561e690f3f7f3a87b7569a907415970e52a57c893bd2d1f9894897e10d57"),
+    (("snf", "--json", "--input", "{nocols}"),
+     0, "d26cab8a4001c39bab4cd6e1515cb92d95b019376e2060ebce41957832fcac52"),
     (("surgery", "--template", "mn", "-n", "3", "--drill", "a", "--fill",
       "a=3/1"),
      0, "f3eadc9a520a37b38e5cb1af4263892e58d26b35fe5cae83a705fb81a8a19c0d"),
@@ -711,11 +737,18 @@ GOLDEN = [
 
 def _golden_documents(tmp_path) -> dict[str, str]:
     rng = random.Random(12)
+    rect = [[2, 4, 4], [-6, 6, 12]]
     docs = {
         "small": matrix_doc([[2, 0], [0, 3]]),
         "m12": matrix_doc(
             [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
         ),
+        "singular": matrix_doc([*rect, [-4, 10, 16]]),
+        "rect": matrix_doc(rect),
+        "tall": matrix_doc([list(col) for col in zip(*rect)]),
+        "zero": matrix_doc([[0, 0], [0, 0]]),
+        "norows": matrix_doc([], 3),
+        "nocols": matrix_doc([[]] * 3, 0),
     }
     link, fills = mn_framed_link(2)
     docs["link"] = json.dumps(link.to_doc(fills))

@@ -213,28 +213,24 @@ def test_family_diagram_is_built_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, -10 ** 50])
 def test_certify_family_call_counts(monkeypatch, n):
-    # bench/test_bench.py pins both counts; they move only with the bench
-    calls = {"snf": 0, "resolve": 0}
-    forms = []
-    snf, resolve = matrices.smith_normal_form, FramedLink.resolve_fillings
+    # one group-only diagonal per presentation; bench/test_bench.py pins
+    # the calls of smith_normal_form, which certify_family no longer
+    # makes, and of resolve_fillings, and they move only with the bench
+    calls = {"diagonal": 0, "resolve": 0}
+    diagonal, resolve = matrices._group_diagonal, FramedLink.resolve_fillings
 
-    def counting_snf(m, **kwargs):
-        calls["snf"] += 1
-        forms.append((m, snf(m, **kwargs)))
-        return forms[-1][1]
+    def counting_diagonal(m):
+        calls["diagonal"] += 1
+        return diagonal(m)
 
     def counting_resolve(self, fillings):
         calls["resolve"] += 1
         return resolve(self, fillings)
 
-    monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(matrices, "_group_diagonal", counting_diagonal)
     monkeypatch.setattr(FramedLink, "resolve_fillings", counting_resolve)
     certify_family(n)
-    assert calls == {"snf": 3, "resolve": 10}
-    # the bench reads u and v of each form; building them is no new SNF
-    for m, form in forms:
-        assert form.u * m * form.v == form.d
-    assert calls == {"snf": 3, "resolve": 10}
+    assert calls == {"diagonal": 3, "resolve": 10}
 
 
 def test_library_matrices_skip_the_constructor(monkeypatch):
@@ -279,6 +275,23 @@ def test_family_homology_examples(n, torsion):
     group = surgered_homology(link, fills)
     assert group == AbelianGroup(1, (torsion,))
     assert group == minors_gcd_oracle(build_presentation(link, fills))
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, -7, 10 ** 6 + 3, 10 ** 50 + 7, -10 ** 50 - 125])
+def test_family_groups_by_minors(n):
+    # a route that shares no code with the Smith forms: the exterior is
+    # Z + Z/t(n) and each closing Z/p(n), by the gcds of minors, and
+    # certify_family reports the same t and p
+    t, p = abs((n - 1) * (n * n + 1)), (n - 1) ** 2 * (n * n + 1)
+    link, fills = mn_framed_link(n)
+    assert minors_gcd_oracle(build_presentation(link, fills)) == \
+        AbelianGroup(1, (t,))
+    for closing in ("1/0", "0/1"):
+        closed = fill_remaining(link, fills, {"x": closing})
+        assert minors_gcd_oracle(closed) == AbelianGroup(0, (p,))
+    report = certify_family(n)
+    assert (report.torsion, report.lens_order) == (t, p)
 
 
 def test_family_homology_sweep():

@@ -62,10 +62,6 @@ VALUES = {
                              IntegerMatrix([[0, 0, 0, 0]], 4))),
     "SmithForm": (lambda: smith_normal_form(IntegerMatrix(M)),
                   SMITH_REPR, SMITH_NEIGHBOURS),
-    # a group-only form builds u and v for ==, hash, repr and pickle
-    "SmithForm-group-only": (
-        lambda: smith_normal_form(IntegerMatrix(M), transforms=False),
-        SMITH_REPR, SMITH_NEIGHBOURS),
     "AbelianGroup": (lambda: AbelianGroup(1, [2, 4]),
                      "AbelianGroup(free_rank=1, invariant_factors=(2, 4))",
                      (AbelianGroup(0, (2, 4)), AbelianGroup(1, (2,)))),
@@ -126,7 +122,6 @@ def test_value_type_contract(name):
     refuses_writes(a)
     # a refused write or delete leaves the value whole
     assert a == b and repr(a) == text and public(a) == public(b)
-    # copying a fresh group-only form reads, and so builds, u and v
     for twin in (copy.copy(make()), copy.deepcopy(make()),
                  pickle.loads(pickle.dumps(make()))):
         assert type(twin) is type(a) and twin == b
